@@ -63,7 +63,7 @@ func BenchmarkTable4PipeTLBCosts(b *testing.B) {
 
 func BenchmarkTable5PageSizeSettings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table5(); err != nil {
+		if _, err := (&exp.Runner{}).Table5(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func BenchmarkTable6And8NFProfiles(b *testing.B) {
 	var profiles []exp.NFProfile
 	for i := 0; i < b.N; i++ {
 		var err error
-		profiles, err = exp.ProfileNFs(nf.SuiteConfig{
+		profiles, err = (&exp.Runner{}).ProfileNFs(nf.SuiteConfig{
 			FirewallRules: 643, DPIPatterns: 2000, Routes: 16000, Backends: 64, Seed: 1,
 		}, 20000, 60000)
 		if err != nil {
@@ -92,7 +92,7 @@ func BenchmarkTable6And8NFProfiles(b *testing.B) {
 
 func BenchmarkTable7AcceleratorProfiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table7(0); err != nil {
+		if _, err := (&exp.Runner{}).Table7(0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func fig5Bench() exp.Fig5Config {
 func BenchmarkFigure5aCacheSweep(b *testing.B) {
 	var med float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure5a(fig5Bench(), []uint64{64 << 10, 4 << 20})
+		rows, err := (&exp.Runner{}).Figure5a(fig5Bench(), []uint64{64 << 10, 4 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFigure5aCacheSweep(b *testing.B) {
 func BenchmarkFigure5bCotenancySweep(b *testing.B) {
 	var m4, m8 float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure5b(fig5Bench(), []int{4, 8})
+		rows, err := (&exp.Runner{}).Figure5b(fig5Bench(), []int{4, 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func BenchmarkFigure6InstructionLatency(b *testing.B) {
 	var rows []exp.Fig6Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = exp.Figure6()
+		rows, err = (&exp.Runner{}).Figure6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func BenchmarkFigure6InstructionLatency(b *testing.B) {
 func BenchmarkFigure7MonitorTimeSeries(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		series, err := exp.Figure7(20, 4000, 50)
+		series, err := (&exp.Runner{}).Figure7(20, 4000, 50)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +184,10 @@ func BenchmarkFigure7MonitorTimeSeries(b *testing.B) {
 func BenchmarkFigure8DPIThroughput(b *testing.B) {
 	var rows []exp.Fig8Row
 	for i := 0; i < b.N; i++ {
-		rows = exp.Figure8(3000)
+		var err error
+		if rows, err = (&exp.Runner{}).Figure8(3000); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
 		if r.Threads == 48 && r.FrameBytes == 64 {
@@ -549,7 +552,7 @@ func BenchmarkReplayCAIDA(b *testing.B) {
 	var res exp.ReplayResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = exp.ReplayCAIDA(cfg)
+		res, err = (&exp.Runner{}).ReplayCAIDA(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func run(model string) error {
 		fmt.Println()
 	}
 	// The cross-model summary, rendered like the paper's tables.
-	cols, err := exp.AttackMatrix()
+	cols, err := (&exp.Runner{}).AttackMatrix()
 	if err != nil {
 		return err
 	}

@@ -29,8 +29,7 @@ type Automaton struct {
 	// pre-resolved, so matching never backtracks.
 	next []int32
 	// out[state] lists pattern indices terminating at state.
-	out       [][]int32
-	npatterns int
+	out [][]int32
 }
 
 // Match reports one pattern occurrence.
@@ -47,7 +46,7 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 			return nil, fmt.Errorf("ac: pattern %d is empty", i)
 		}
 	}
-	a := &Automaton{npatterns: len(patterns)}
+	a := &Automaton{}
 	// Byte classes: class 0 = "appears in no pattern"; each distinct
 	// pattern byte gets its own class.
 	used := [256]bool{}
@@ -153,9 +152,6 @@ func (a *Automaton) States() int { return len(a.out) }
 
 // Classes returns the number of byte equivalence classes.
 func (a *Automaton) Classes() int { return a.nclasses }
-
-// NumPatterns returns the number of compiled patterns.
-func (a *Automaton) NumPatterns() int { return a.npatterns }
 
 // MemoryBytes estimates the DRAM footprint of the flattened graph: the
 // class-compressed transition table, the byte-class map, and the output

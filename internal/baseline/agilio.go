@@ -62,9 +62,6 @@ func (a *Agilio) BusOp(island int, now uint64) (uint64, error) {
 	return start + a.cost, nil
 }
 
-// BusStats exposes per-island bus statistics.
-func (a *Agilio) BusStats(island int) bus.Stats { return a.bus.Stats(island) }
-
 // CryptoOp models one operation on the shared crypto accelerator at local
 // time now, returning (completion, queueing delay). The queueing delay is
 // the §3.2 side channel: it reveals whether other cores are doing

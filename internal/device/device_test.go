@@ -8,6 +8,8 @@ import (
 
 	"snic/internal/pkt"
 	"snic/internal/pktio"
+	"snic/internal/sim"
+	"snic/internal/snic"
 )
 
 func testSpec(model string) Spec {
@@ -260,6 +262,68 @@ func TestConformanceDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConformanceChurn: on every model, cold and fast, the churn loop
+// leaves the device exactly as it entered (no live functions, every core
+// free, fast paths restored, warm pool drained, capabilities unchanged),
+// the S-NIC never refuses a launch, and equal rng seeds give equal
+// stats and latencies.
+func TestConformanceChurn(t *testing.T) {
+	for _, model := range Models() {
+		for _, fast := range []bool{false, true} {
+			name := model + "/cold"
+			if fast {
+				name = model + "/fast"
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func() (ChurnStats, float64) {
+					dev := build(t, model)
+					caps := dev.Caps()
+					var simMS float64
+					st, err := Churn(dev, ChurnSpec{
+						Events: 40, Target: 2, Batch: 2, Fast: fast,
+						Func: func(int) FuncSpec {
+							return FuncSpec{Name: "fn", MemBytes: 256 << 10}
+						},
+						Observe: func(_ ChurnPhase, ms float64, _ int) { simMS += ms },
+					}, sim.NewRand(7))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dev.Live() != 0 || dev.FreeCores() != dev.Cores() {
+						t.Fatalf("after churn: live=%d free=%d of %d", dev.Live(), dev.FreeCores(), dev.Cores())
+					}
+					if dev.Caps() != caps {
+						t.Fatalf("caps changed: %v -> %v", caps, dev.Caps())
+					}
+					if st.Launches == 0 || st.Teardowns != st.Launches {
+						t.Fatalf("launches=%d teardowns=%d", st.Launches, st.Teardowns)
+					}
+					if sn, ok := dev.(*SNIC); ok {
+						if st.Fails != 0 {
+							t.Fatalf("S-NIC refused %d launches", st.Fails)
+						}
+						if (sn.Underlying().FastPathConfig() != snic.FastPaths{}) {
+							t.Fatalf("fast paths not restored: %+v", sn.Underlying().FastPathConfig())
+						}
+						if n := sn.Underlying().Memory().PoolFrames(); n != 0 {
+							t.Fatalf("%d frames left parked in the warm pool", n)
+						}
+						if fast && st.PoolHits == 0 {
+							t.Fatal("fast churn never hit the warm pool")
+						}
+					}
+					return st, simMS
+				}
+				st1, ms1 := run()
+				st2, ms2 := run()
+				if st1 != st2 || ms1 != ms2 {
+					t.Fatalf("same seed diverged: %+v %v vs %+v %v", st1, ms1, st2, ms2)
+				}
+			})
+		}
 	}
 }
 

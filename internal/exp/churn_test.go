@@ -9,7 +9,7 @@ func goldenChurnConfig() ChurnConfig {
 }
 
 func TestGoldenChurn(t *testing.T) {
-	rows, err := ChurnNF(goldenChurnConfig())
+	rows, err := (&Runner{}).ChurnNF(goldenChurnConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestGoldenChurn(t *testing.T) {
 // path, the warm pool actually gets hit once churn reaches steady
 // state, and the cold path never touches it.
 func TestChurnFastPathsPayOff(t *testing.T) {
-	rows, err := ChurnNF(goldenChurnConfig())
+	rows, err := (&Runner{}).ChurnNF(goldenChurnConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestChurnFastPathsPayOff(t *testing.T) {
 // depend only on its own derived stream, never on sweep-mates.
 func TestChurnJobsAreIndependent(t *testing.T) {
 	cfg := goldenChurnConfig()
-	all, err := ChurnNF(cfg)
+	all, err := (&Runner{}).ChurnNF(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

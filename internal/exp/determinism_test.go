@@ -121,7 +121,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 // (experiment, jobKey)-derived stream alone.
 func TestProfileJobsAreIndependent(t *testing.T) {
 	cfg := nf.TestScale(3)
-	sweep, err := ProfileNFs(cfg, 2000, 4000)
+	sweep, err := (&Runner{}).ProfileNFs(cfg, 2000, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestProfileJobsAreIndependent(t *testing.T) {
 // NF table would race under concurrent jobs. Each row must now be
 // reproducible on a device of its own.
 func TestFigure6JobsAreIndependent(t *testing.T) {
-	sweep, err := Figure6()
+	sweep, err := (&Runner{}).Figure6()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,6 @@ type Fig5DevRow struct {
 	P99    float64
 }
 
-// Figure5Devices sweeps the pairwise colocation comparison across every
-// registered device model on the default runner.
-func Figure5Devices(cfg Fig5Config) ([]Fig5DevRow, error) {
-	return defaultRunner.Figure5Devices(cfg)
-}
-
 // Figure5Devices decomposes the device sweep into one engine job per
 // (model, target NF) point. Each point derives everything from
 // (cfg, model, target), so jobs stay independent and worker-invariant.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFig5DevGolden(t *testing.T) {
-	rows, err := Figure5Devices(smallFig5())
+	rows, err := (&Runner{}).Figure5Devices(smallFig5())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestFig5DevGolden(t *testing.T) {
 // partitioning cost is bounded (the paper's <1.7% headline is for 4 NFs;
 // pairwise colocations stay in the same few-percent regime).
 func TestFigure5DevicesShape(t *testing.T) {
-	rows, err := Figure5Devices(smallFig5())
+	rows, err := (&Runner{}).Figure5Devices(smallFig5())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,6 @@ type Fig6Row struct {
 	DestroyScrub float64
 }
 
-// Figure6 launches each NF (sized by its published memory profile) on an
-// S-NIC and reports the simulated nf_launch / nf_attest / nf_destroy
-// latency breakdowns.
-func Figure6() ([]Fig6Row, error) { return defaultRunner.Figure6() }
-
 // Figure6 decomposes the instruction-latency sweep into one engine job
 // per NF. Each job builds its own vendor and device; the serial
 // implementation shared one device across all six launches, which would
@@ -129,14 +124,10 @@ type Fig7Point struct {
 // Figure7 replays a CAIDA-like window through the Monitor and samples its
 // live memory, reproducing the growth curve with hugepage-staging and
 // hash-resize spikes. flowRate 0 selects the CAIDA default (~7417/s);
-// tests pass smaller rates.
-func Figure7(seconds float64, flowRate float64, samples int) ([]Fig7Point, error) {
-	return defaultRunner.Figure7(seconds, flowRate, samples)
-}
-
-// Figure7 runs as a single engine job: the time series is inherently
-// sequential (one Monitor accumulating state across the whole window),
-// so the engine contributes only seeding and metrics here.
+// tests pass smaller rates. It runs as a single engine job: the time
+// series is inherently sequential (one Monitor accumulating state across
+// the whole window), so the engine contributes only seeding and metrics
+// here.
 func (r *Runner) Figure7(seconds float64, flowRate float64, samples int) ([]Fig7Point, error) {
 	job := engine.Job[[]Fig7Point]{
 		Experiment: "fig7",
@@ -206,17 +197,6 @@ type Fig8Row struct {
 	Threads    int
 	FrameBytes int
 	Mpps       float64
-}
-
-// Figure8 sweeps DPI accelerator throughput over cluster size and frame
-// size using the calibrated dispatcher/thread model.
-func Figure8(requests int) []Fig8Row {
-	rows, err := defaultRunner.Figure8(requests)
-	if err != nil {
-		// The model is pure; only a panicking job can produce an error.
-		panic(err)
-	}
-	return rows
 }
 
 // Figure8 decomposes the sweep into one engine job per (threads, frame)

@@ -44,7 +44,7 @@ func golden(t *testing.T, name, got string) {
 // profile-derived golden uses.
 func goldenProfiles(t *testing.T) []NFProfile {
 	t.Helper()
-	profiles, err := ProfileNFs(nf.TestScale(3), 2000, 4000)
+	profiles, err := (&Runner{}).ProfileNFs(nf.TestScale(3), 2000, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGoldenStaticTables(t *testing.T) {
 }
 
 func TestGoldenTable5(t *testing.T) {
-	tbl, err := Table5()
+	tbl, err := (&Runner{}).Table5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestGoldenTables6And8(t *testing.T) {
 }
 
 func TestGoldenTable7(t *testing.T) {
-	tbl, err := Table7(0)
+	tbl, err := (&Runner{}).Table7(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGoldenTable7(t *testing.T) {
 }
 
 func TestGoldenFigure6(t *testing.T) {
-	rows, err := Figure6()
+	rows, err := (&Runner{}).Figure6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestGoldenFigure6(t *testing.T) {
 }
 
 func TestGoldenFigure7(t *testing.T) {
-	series, err := Figure7(20, 3000, 40)
+	series, err := (&Runner{}).Figure7(20, 3000, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,5 +98,9 @@ func TestGoldenFigure7(t *testing.T) {
 }
 
 func TestGoldenFigure8(t *testing.T) {
-	golden(t, "fig8", RenderFig8(Figure8(1500)).String())
+	rows, err := (&Runner{}).Figure8(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "fig8", RenderFig8(rows).String())
 }

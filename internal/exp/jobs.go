@@ -31,12 +31,8 @@ type Runner struct {
 	Progress *obs.Progress
 }
 
-// defaultRunner backs the package-level experiment functions, which keep
-// their historical signatures for tests, benchmarks, and examples.
-var defaultRunner = &Runner{}
-
 // obsReg returns the runner's collector; nil (detached) for the zero
-// value, a nil runner, and the package-level defaults.
+// value and a nil runner.
 func (r *Runner) obsReg() *obs.Registry {
 	if r == nil {
 		return nil

@@ -111,19 +111,13 @@ func digestFold(h, v uint64) uint64 {
 }
 
 // ReplayCAIDA streams the configured window through per-shard Monitor
-// models. See defaultRunner conventions: results are byte-identical for
-// any worker count, and — new with this experiment — across any
+// models: cfg.Shards engine jobs, each walking its own budget stream
+// (trace.NewCAIDABudget on the job-derived RNG) against an
+// nf.MonitorModel, checkpointing every CheckpointEvery packets. Results
+// are byte-identical for any worker count and across any
 // interrupt/resume schedule. On interruption the returned error wraps
 // engine.ErrInterrupted and the checkpoint file (if configured) holds
 // the resumable state.
-func ReplayCAIDA(cfg ReplayConfig) (ReplayResult, error) {
-	return defaultRunner.ReplayCAIDA(cfg)
-}
-
-// ReplayCAIDA decomposes the window into cfg.Shards engine jobs, each
-// walking its own budget stream (trace.NewCAIDABudget on the job-derived
-// RNG) against an nf.MonitorModel, checkpointing every CheckpointEvery
-// packets.
 func (r *Runner) ReplayCAIDA(cfg ReplayConfig) (ReplayResult, error) {
 	if err := cfg.validate(); err != nil {
 		return ReplayResult{}, err

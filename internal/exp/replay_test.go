@@ -18,7 +18,7 @@ func goldenReplayConfig() ReplayConfig {
 }
 
 func TestGoldenReplay(t *testing.T) {
-	res, err := ReplayCAIDA(goldenReplayConfig())
+	res, err := (&Runner{}).ReplayCAIDA(goldenReplayConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestReplayShardedSerialEquivalence(t *testing.T) {
 // byte-identical to an uninterrupted run.
 func TestReplayCheckpointResume(t *testing.T) {
 	cfg := ReplayConfig{Flows: 6000, PerFlow: 3, Shards: 3, Seed: 0xCA1DA, CheckpointEvery: 500}
-	want, err := ReplayCAIDA(cfg)
+	want, err := (&Runner{}).ReplayCAIDA(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestReplayCheckpointResume(t *testing.T) {
 			if attempt > 20000 {
 				t.Fatalf("stop=%d: did not converge", stop)
 			}
-			got, err = ReplayCAIDA(icfg)
+			got, err = (&Runner{}).ReplayCAIDA(icfg)
 			if errors.Is(err, engine.ErrInterrupted) {
 				continue
 			}
@@ -108,7 +108,7 @@ func TestReplayFullScaleSmokeBoundedHeap(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := ReplayCAIDA(cfg)
+	res, err := (&Runner{}).ReplayCAIDA(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

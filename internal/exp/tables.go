@@ -88,11 +88,6 @@ func Table4() Table {
 	return t
 }
 
-// Table5 regenerates the page-size-setting table at 48 cores, computing
-// the per-setting entry requirement as the maximum over the six NFs'
-// published profiles (which is how the paper derives 183/51/13).
-func Table5() (Table, error) { return defaultRunner.Table5() }
-
 // Table5 decomposes the sweep into one engine job per page-size setting.
 func (r *Runner) Table5() (Table, error) {
 	t := Table{
@@ -155,13 +150,6 @@ type NFProfile struct {
 	Equal, FlexLow, FlexHigh int    // TLB entries from measured profile
 	PaperEqual               int    // entries recomputed from the paper's profile
 	MUR                      float64
-}
-
-// ProfileNFs builds the suite at the given scale, drives the stateful NFs
-// with a deterministic workload, and measures every profile. The workload
-// (flow count, packets) scales with cfg so tests stay fast.
-func ProfileNFs(cfg nf.SuiteConfig, flows, packets int) ([]NFProfile, error) {
-	return defaultRunner.ProfileNFs(cfg, flows, packets)
 }
 
 // ProfileNFs decomposes the Table 6/8 profiling sweep into one engine
@@ -264,11 +252,6 @@ func Table6(profiles []NFProfile) Table {
 	}
 	return t
 }
-
-// Table7 reports the accelerator buffer inventories and the TLB entries
-// they need — using the paper's published buffer sizes plus our measured
-// DPI graph when one is supplied (0 uses the paper's 97.28 MB).
-func Table7(dpiGraphBytes uint64) (Table, error) { return defaultRunner.Table7(dpiGraphBytes) }
 
 // Table7 decomposes the inventory into one engine job per accelerator.
 func (r *Runner) Table7(dpiGraphBytes uint64) (Table, error) {

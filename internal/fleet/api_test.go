@@ -93,6 +93,14 @@ func TestAPIStatusCodes(t *testing.T) {
 		{"bad burst body", "POST", "/v1/burst", `[]`, 400},
 		{"bad advance body", "POST", "/v1/advance", `{"cycles":"soon"}`, 400},
 		{"nf without name", "POST", "/v1/tenants/acme/nfs", `{}`, 400},
+		// 2^44 MB is the first count whose byte value wraps 64 bits.
+		{"device mem_mb overflow", "POST", "/v1/devices", `{"name":"x","model":"snic","mem_mb":17592186044416}`, 400},
+		{"quota mem_mb overflow", "POST", "/v1/tenants", `{"name":"x","quota":{"mem_mb":17592186044416}}`, 400},
+		{"nf mem_mb overflow", "POST", "/v1/tenants/acme/nfs", `{"name":"x","mem_mb":17592186044416}`, 400},
+		{"churn mem_mb overflow", "POST", "/v1/churn", `{"mem_mb":17592186044416}`, 400},
+		{"churn negative events", "POST", "/v1/churn", `{"events":-1}`, 400},
+		{"churn negative target", "POST", "/v1/churn", `{"target":-1}`, 400},
+		{"churn negative batch", "POST", "/v1/churn", `{"batch":-1}`, 400},
 
 		{"place on unknown tenant", "POST", "/v1/tenants/ghost/nfs", `{"name":"fw"}`, 404},
 		{"evict unknown tenant", "DELETE", "/v1/tenants/ghost", "", 404},
@@ -104,6 +112,7 @@ func TestAPIStatusCodes(t *testing.T) {
 		{"double admit", "POST", "/v1/tenants", `{"name":"acme"}`, 409},
 		{"double add device", "POST", "/v1/devices", `{"name":"nic-a","model":"snic"}`, 409},
 		{"double place", "POST", "/v1/tenants/acme/nfs", `{"name":"fw"}`, 409},
+		{"nf mem_mb at the byte limit", "POST", "/v1/tenants/acme/nfs", `{"name":"x","mem_mb":17592186044415}`, 409},
 		{"undrain active device", "POST", "/v1/devices/nic-a/undrain", "", 409},
 
 		{"POST on oper", "POST", "/v1/oper", "", 405},
@@ -157,6 +166,32 @@ func TestAPIQuotaAndCapacity(t *testing.T) {
 	}
 	if placed == 0 || placed >= 64 {
 		t.Fatalf("capacity never exhausted (placed %d)", placed)
+	}
+}
+
+// TestAPIMemQuotaOverflow is the quota case of the mem_mb wrap: a
+// tenant admitted with a 2 MB quota fills it with two 1 MB NFs, and an
+// NF whose mem_mb wraps to zero bytes must be refused as malformed
+// rather than placed as a zero-byte demand.
+func TestAPIMemQuotaOverflow(t *testing.T) {
+	m, srv := newTestServer(t)
+	for _, step := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/devices", `{"name":"nic-a","model":"snic"}`, 201},
+		{"/v1/tenants", `{"name":"acme","quota":{"mem_mb":2}}`, 201},
+		{"/v1/tenants/acme/nfs", `{"name":"nf1","mem_mb":1}`, 201},
+		{"/v1/tenants/acme/nfs", `{"name":"nf2","mem_mb":1}`, 201},
+		{"/v1/tenants/acme/nfs", `{"name":"nf3","mem_mb":1}`, 409},
+		{"/v1/tenants/acme/nfs", `{"name":"nf4","mem_mb":17592186044416}`, 400},
+	} {
+		if got, body := do(t, srv, "POST", step.path, step.body); got != step.want {
+			t.Fatalf("POST %s %s = %d, want %d\n%s", step.path, step.body, got, step.want, body)
+		}
+	}
+	if st := m.Stats(); st.Placed != 2 {
+		t.Fatalf("placed %d NFs, want 2", st.Placed)
 	}
 }
 

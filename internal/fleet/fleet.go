@@ -29,6 +29,8 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"snic/internal/device"
 )
@@ -72,16 +74,15 @@ type ResourceSpec struct {
 	AccelClusters int    `json:"accel_clusters,omitempty"`
 }
 
-// resources converts the spec to the device layer's byte-denominated
-// vector.
-func (s ResourceSpec) resources() device.Resources {
-	return device.Resources{
-		Cores:         s.Cores,
-		MemBytes:      s.MemMB << 20,
-		TLBEntries:    s.TLBEntries,
-		CacheWays:     s.CacheWays,
-		AccelClusters: s.AccelClusters,
+// checkMemMB rejects a client-supplied MB count whose byte value does not
+// fit in 64 bits. Every entry point that takes a mem_mb calls it first,
+// so the manager's internal MB→byte shifts never wrap: unchecked, 2^44 MB
+// would become a zero-byte demand that passes any quota.
+func checkMemMB(what string, mb uint64) error {
+	if mb > math.MaxUint64>>20 {
+		return fmt.Errorf("fleet: %s mem_mb %d overflows a byte count", what, mb)
 	}
+	return nil
 }
 
 // allows reports whether adding add to used stays inside the quota.
@@ -142,7 +143,10 @@ func (s *NFSpec) defaults() {
 // frame at launch).
 func (s NFSpec) demandOn(frameSize uint64) device.Resources {
 	memBytes := s.MemMB << 20
-	entries := int((memBytes + frameSize - 1) / frameSize)
+	entries := int(memBytes / frameSize)
+	if memBytes%frameSize != 0 {
+		entries++
+	}
 	return device.Resources{
 		Cores:         s.Cores,
 		MemBytes:      memBytes,

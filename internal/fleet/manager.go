@@ -211,6 +211,9 @@ func (m *Manager) AddDevice(spec DeviceSpec) error {
 	if spec.Name == "" || spec.Model == "" {
 		return fmt.Errorf("fleet: device needs name and model")
 	}
+	if err := checkMemMB("device", spec.MemMB); err != nil {
+		return err
+	}
 	if _, dup := m.devices[spec.Name]; dup {
 		return fmt.Errorf("%w: device %q", ErrExists, spec.Name)
 	}
@@ -268,6 +271,9 @@ func (m *Manager) Admit(name string, quota ResourceSpec) error {
 	if name == "" {
 		return fmt.Errorf("fleet: tenant needs a name")
 	}
+	if err := checkMemMB("quota", quota.MemMB); err != nil {
+		return err
+	}
 	if _, dup := m.tenants[name]; dup {
 		return fmt.Errorf("%w: tenant %q", ErrExists, name)
 	}
@@ -319,6 +325,9 @@ func (m *Manager) Place(tenantName string, spec NFSpec) (*Placement, error) {
 	}
 	if spec.Name == "" {
 		return nil, fmt.Errorf("fleet: NF needs a name")
+	}
+	if err := checkMemMB("NF", spec.MemMB); err != nil {
+		return nil, err
 	}
 	if _, dup := tn.placed[spec.Name]; dup {
 		m.reject()

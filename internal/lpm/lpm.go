@@ -18,7 +18,6 @@ package lpm
 
 import (
 	"fmt"
-	"sort"
 )
 
 const tbl24Size = 1 << 24
@@ -105,47 +104,6 @@ func (t *Table) apply(prefix uint32, length int, nh uint16) {
 		if pool[j].depth <= d {
 			pool[j] = poolEntry{nh: nh, depth: d}
 		}
-	}
-}
-
-// Delete removes a route, returning whether it existed. The table is
-// rebuilt from the retained route set.
-func (t *Table) Delete(prefix uint32, length int) bool {
-	prefix &= prefixMask(length)
-	k := uint64(prefix)<<8 | uint64(length)
-	if _, ok := t.routes[k]; !ok {
-		return false
-	}
-	delete(t.routes, k)
-	t.rebuild()
-	return true
-}
-
-func (t *Table) rebuild() {
-	for i := range t.depth24 {
-		t.depth24[i] = 0
-		t.pool24[i] = -1
-	}
-	t.pools = t.pools[:0]
-	type route struct {
-		prefix uint32
-		length int
-		nh     uint16
-	}
-	rs := make([]route, 0, len(t.routes))
-	//lint:allow map-order routes are totally ordered by unique (length, prefix) right below
-	for k, nh := range t.routes {
-		rs = append(rs, route{uint32(k >> 8), int(k & 0xFF), nh})
-	}
-	// Ascending length: depth checks then allow every replay to land.
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].length != rs[j].length {
-			return rs[i].length < rs[j].length
-		}
-		return rs[i].prefix < rs[j].prefix
-	})
-	for _, r := range rs {
-		t.apply(r.prefix, r.length, r.nh)
 	}
 }
 

@@ -97,9 +97,6 @@ type Range struct {
 	Frames uint64 // length in frames
 }
 
-// Bytes returns the length of the range in bytes given frame size fs.
-func (r Range) bytes(fs uint64) uint64 { return r.Frames * fs }
-
 // End returns one past the last byte of the range.
 func (r Range) End(fs uint64) Addr { return r.Start + Addr(r.Frames*fs) }
 

@@ -38,15 +38,8 @@ func NewDPI(patterns [][]byte, blocking bool) (*DPI, error) {
 	return &DPI{arena: a, auto: auto, blocking: blocking, keepLast: 1024}, nil
 }
 
-// Name implements NF.
-func (d *DPI) Name() string { return "DPI" }
-
 // Arena implements NF.
 func (d *DPI) Arena() *mem.Arena { return d.arena }
-
-// Automaton exposes the compiled graph (the accelerator model and the
-// ruleset-stealing attack demo both need its size/content).
-func (d *DPI) Automaton() *ac.Automaton { return d.auto }
 
 // Process implements NF.
 func (d *DPI) Process(p *pkt.Packet) Verdict {
@@ -64,9 +57,6 @@ func (d *DPI) Process(p *pkt.Packet) Verdict {
 	}
 	return Pass
 }
-
-// WorkingSet implements NF.
-func (d *DPI) WorkingSet() uint64 { return d.auto.MemoryBytes() }
 
 // NewStream implements NF. Each payload byte walks one graph row; the walk
 // is concentrated near the automaton root (shallow states) with a tail of

@@ -39,16 +39,8 @@ func NewLB(backendNames []string) (*LB, error) {
 	return &LB{arena: a, table: t, conns: hashmap.New(a, 1024), backends: ips}, nil
 }
 
-// Name implements NF.
-func (l *LB) Name() string { return "LB" }
-
 // Arena implements NF.
 func (l *LB) Arena() *mem.Arena { return l.arena }
-
-// Backend returns the backend name a tuple maps to.
-func (l *LB) Backend(t pkt.FiveTuple) string {
-	return l.table.Lookup(tupleHash(t))
-}
 
 func tupleHash(t pkt.FiveTuple) uint64 {
 	k := t.Key()
@@ -71,14 +63,6 @@ func (l *LB) Process(p *pkt.Packet) Verdict {
 	p.Tuple.DstIP = l.backends[idx]
 	l.Balanced++
 	return Modified
-}
-
-// Connections returns the connection-table size.
-func (l *LB) Connections() int { return l.conns.Len() }
-
-// WorkingSet implements NF.
-func (l *LB) WorkingSet() uint64 {
-	return l.table.MemoryBytes() + l.conns.FootprintBytes()
 }
 
 // NewStream implements NF: one Maglev slot load plus connection-table

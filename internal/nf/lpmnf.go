@@ -35,14 +35,8 @@ func NewLPM(routes []trace.Route) (*LPM, error) {
 	return &LPM{arena: a, table: t}, nil
 }
 
-// Name implements NF.
-func (l *LPM) Name() string { return "LPM" }
-
 // Arena implements NF.
 func (l *LPM) Arena() *mem.Arena { return l.arena }
-
-// Table exposes the routing table.
-func (l *LPM) Table() *lpm.Table { return l.table }
 
 // Process implements NF: look up the destination; drop when unroutable.
 func (l *LPM) Process(p *pkt.Packet) Verdict {
@@ -58,10 +52,6 @@ func (l *LPM) Process(p *pkt.Packet) Verdict {
 	p.TTL--
 	return Modified
 }
-
-// WorkingSet implements NF. The TBL24 is 64 MB but per-packet touches are
-// 1–2 lines addressed by destination IP: a big, cold region.
-func (l *LPM) WorkingSet() uint64 { return l.table.MemoryBytes() }
 
 // NewStream implements NF.
 func (l *LPM) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stream {

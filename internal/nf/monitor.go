@@ -1,9 +1,6 @@
 package nf
 
 import (
-	"bytes"
-	"sort"
-
 	"snic/internal/cpu"
 	"snic/internal/hashmap"
 	"snic/internal/mem"
@@ -38,9 +35,6 @@ func NewMonitor(samples func(live uint64)) *Monitor {
 	return &Monitor{arena: a, counts: hashmap.New(a, 1024)}
 }
 
-// Name implements NF.
-func (m *Monitor) Name() string { return "Mon" }
-
 // Arena implements NF.
 func (m *Monitor) Arena() *mem.Arena { return m.arena }
 
@@ -59,38 +53,6 @@ func (m *Monitor) Count(t pkt.FiveTuple) uint64 {
 
 // Flows returns the number of distinct flows observed.
 func (m *Monitor) Flows() int { return m.counts.Len() }
-
-// HeavyHitter is one entry of a TopK report.
-type HeavyHitter struct {
-	Key   [16]byte
-	Count uint64
-}
-
-// TopK returns the k heaviest flows (ties broken by key bytes for
-// determinism) — the UnivMon-style query a monitor exists to answer.
-func (m *Monitor) TopK(k int) []HeavyHitter {
-	if k <= 0 {
-		return nil
-	}
-	var all []HeavyHitter
-	m.counts.Range(func(key hashmap.Key, v uint64) bool {
-		all = append(all, HeavyHitter{Key: key, Count: v})
-		return true
-	})
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return bytes.Compare(all[i].Key[:], all[j].Key[:]) < 0
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-// WorkingSet implements NF.
-func (m *Monitor) WorkingSet() uint64 { return m.counts.FootprintBytes() }
 
 // NewStream implements NF: a counter upsert per packet over a large,
 // flow-indexed region.

@@ -20,14 +20,12 @@ type NAT struct {
 	out      *hashmap.Map // inside 5-tuple key -> port | lastSeenTick<<16
 	back     *hashmap.Map // allocated port -> packed inside (ip, port)
 	nextPort uint32
-	free     []uint16 // reclaimed ports
 	maxFlows int
 	tick     uint64 // logical clock, advanced per packet
 
 	// Stats.
 	Translated uint64
 	Exhausted  uint64
-	Expired    uint64
 }
 
 // NATMaxFlows is the port-pool bound from the paper.
@@ -46,9 +44,6 @@ func NewNAT(externalIP uint32) *NAT {
 		maxFlows: NATMaxFlows,
 	}
 }
-
-// Name implements NF.
-func (n *NAT) Name() string { return "NAT" }
 
 // Arena implements NF.
 func (n *NAT) Arena() *mem.Arena { return n.arena }
@@ -83,9 +78,6 @@ func (n *NAT) Process(p *pkt.Packet) Verdict {
 		port = entry & 0xFFFF
 	} else {
 		switch {
-		case len(n.free) > 0:
-			port = uint64(n.free[len(n.free)-1])
-			n.free = n.free[:len(n.free)-1]
 		case n.out.Len() < n.maxFlows && n.nextPort <= 65535:
 			port = uint64(n.nextPort)
 			n.nextPort++
@@ -106,43 +98,10 @@ func (n *NAT) Process(p *pkt.Packet) Verdict {
 	return Modified
 }
 
-// Expire removes translations idle for more than maxIdle logical ticks,
-// reclaiming their external ports. It returns how many flows expired.
-// Real MazuNAT ages mappings the same way; the paper's fixed 65,535-flow
-// cap is the no-expiry worst case.
-func (n *NAT) Expire(maxIdle uint64) int {
-	var dead []hashmap.Key
-	var ports []uint16
-	n.out.Range(func(k hashmap.Key, v uint64) bool {
-		last := v >> 16
-		if n.tick-last > maxIdle {
-			dead = append(dead, k)
-			ports = append(ports, uint16(v))
-		}
-		return true
-	})
-	for i, k := range dead {
-		n.out.Delete(k)
-		var rk hashmap.Key
-		rk[0] = byte(ports[i] >> 8)
-		rk[1] = byte(ports[i])
-		rk[2] = 0xB0
-		n.back.Delete(rk)
-		n.free = append(n.free, ports[i])
-	}
-	n.Expired += uint64(len(dead))
-	return len(dead)
-}
-
-// WorkingSet implements NF.
-func (n *NAT) WorkingSet() uint64 {
-	return n.out.FootprintBytes() + n.back.FootprintBytes()
-}
-
 // NewStream implements NF: two map probes (forward + reverse tables) and a
 // header rewrite per packet, with insert traffic for new flows.
 func (n *NAT) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stream {
-	region := n.WorkingSet()
+	region := n.out.FootprintBytes() + n.back.FootprintBytes()
 	if region < 1<<20 {
 		region = 1 << 20
 	}

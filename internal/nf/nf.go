@@ -49,15 +49,10 @@ func (v Verdict) String() string {
 
 // NF is a deployable network function.
 type NF interface {
-	// Name is the short name used in the paper's tables (FW, DPI, ...).
-	Name() string
 	// Process runs the data plane on one packet, possibly mutating it.
 	Process(p *pkt.Packet) Verdict
 	// Arena exposes the NF's memory accounting.
 	Arena() *mem.Arena
-	// WorkingSet returns the bytes the data plane actively touches —
-	// the quantity that determines cache sensitivity in Figure 5.
-	WorkingSet() uint64
 	// NewStream builds the instruction stream this NF presents to the
 	// timing simulator, with its memory placed at base.
 	NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Stream

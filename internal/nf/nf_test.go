@@ -18,26 +18,16 @@ func mkPacket(t pkt.FiveTuple, payload string) pkt.Packet {
 }
 
 func TestSuiteBuildsAllSix(t *testing.T) {
-	s, err := Suite(TestScale(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 6 {
-		t.Fatalf("suite has %d NFs", len(s))
+	if len(Names) != 6 {
+		t.Fatalf("suite has %d NFs", len(Names))
 	}
 	for _, name := range Names {
-		f, ok := s[name]
-		if !ok {
-			t.Fatalf("missing %s", name)
-		}
-		if f.Name() != name {
-			t.Fatalf("name mismatch: %s vs %s", f.Name(), name)
+		f, err := New(name, TestScale(1))
+		if err != nil {
+			t.Fatal(err)
 		}
 		if f.Arena().Peak() == 0 {
 			t.Fatalf("%s has no memory profile", name)
-		}
-		if f.WorkingSet() == 0 {
-			t.Fatalf("%s has zero working set", name)
 		}
 	}
 }
@@ -288,13 +278,13 @@ func TestMonitorMemoryGrowsWithFlows(t *testing.T) {
 }
 
 func TestStreamsProduceOps(t *testing.T) {
-	s, err := Suite(TestScale(5))
-	if err != nil {
-		t.Fatal(err)
-	}
 	pool := testPool(6)
 	for _, name := range Names {
-		st := s[name].NewStream(sim.NewRand(7), pool, mem.Addr(1)<<30)
+		f, err := New(name, TestScale(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := f.NewStream(sim.NewRand(7), pool, mem.Addr(1)<<30)
 		loads, stores, computes := 0, 0, 0
 		for i := 0; i < 2000; i++ {
 			op, ok := st.Next()
@@ -358,89 +348,5 @@ func TestFirewallEvictsOldestAtCapacity(t *testing.T) {
 	fw.Process(&oldest)
 	if fw.Hits != h {
 		t.Fatal("evicted flow still cached")
-	}
-}
-
-func TestNATExpireReclaimsPorts(t *testing.T) {
-	n := NewNAT(0xC6336401)
-	mk := func(i uint32) pkt.Packet {
-		return mkPacket(pkt.FiveTuple{SrcIP: i + 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}, "x")
-	}
-	p1 := mk(1)
-	n.Process(&p1)
-	port1 := p1.Tuple.SrcPort
-	// Lots of later traffic on other flows ages flow 1 out.
-	for i := uint32(2); i < 40; i++ {
-		p := mk(i)
-		n.Process(&p)
-	}
-	if got := n.Expire(37); got != 1 {
-		t.Fatalf("expired %d flows", got)
-	}
-	// The reclaimed port is reused by the next new flow.
-	pNew := mk(999)
-	n.Process(&pNew)
-	if pNew.Tuple.SrcPort != port1 {
-		t.Fatalf("port %d not reclaimed (got %d)", port1, pNew.Tuple.SrcPort)
-	}
-	// Inbound to the expired mapping is now unsolicited.
-	in := mkPacket(pkt.FiveTuple{SrcIP: 2, DstIP: 0xC6336401, SrcPort: 4, DstPort: port1, Proto: 6}, "y")
-	// (port1 now maps to flow 999, so this is actually translated there;
-	// the point is the OLD flow's mapping is gone.)
-	_ = in
-	if n.Flows() != 39 { // 38 survivors + flow 999
-		t.Fatalf("flows = %d", n.Flows())
-	}
-}
-
-func TestNATRefreshPreventsExpiry(t *testing.T) {
-	n := NewNAT(0xC6336401)
-	hot := mkPacket(pkt.FiveTuple{SrcIP: 7, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}, "x")
-	n.Process(&hot)
-	for i := uint32(0); i < 50; i++ {
-		p := mkPacket(pkt.FiveTuple{SrcIP: 100 + i, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}, "x")
-		n.Process(&p)
-		hot2 := hot
-		n.Process(&hot2) // keep the hot flow fresh
-	}
-	if n.Expire(60) == 0 {
-		t.Fatal("nothing expired despite idle flows")
-	}
-	// The hot flow survived.
-	probe := hot
-	before := n.Flows()
-	n.Process(&probe)
-	if n.Flows() != before {
-		t.Fatal("hot flow was expired")
-	}
-}
-
-func TestMonitorTopK(t *testing.T) {
-	m := NewMonitor(nil)
-	heavy := pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}
-	mid := pkt.FiveTuple{SrcIP: 5, DstIP: 6, SrcPort: 7, DstPort: 8, Proto: 6}
-	light := pkt.FiveTuple{SrcIP: 9, DstIP: 10, SrcPort: 11, DstPort: 12, Proto: 6}
-	for i := 0; i < 10; i++ {
-		p := mkPacket(heavy, "x")
-		m.Process(&p)
-	}
-	for i := 0; i < 5; i++ {
-		p := mkPacket(mid, "x")
-		m.Process(&p)
-	}
-	p := mkPacket(light, "x")
-	m.Process(&p)
-	top := m.TopK(2)
-	if len(top) != 2 || top[0].Count != 10 || top[1].Count != 5 {
-		t.Fatalf("top2 = %+v", top)
-	}
-	if top[0].Key != heavy.Key() {
-		t.Fatal("wrong heavy hitter")
-	}
-	if m.TopK(0) != nil {
-		t.Fatal("TopK(0) should be nil")
-	}
-	if len(m.TopK(100)) != 3 {
-		t.Fatal("TopK over-count")
 	}
 }

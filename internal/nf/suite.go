@@ -61,16 +61,3 @@ func New(name string, cfg SuiteConfig) (NF, error) {
 	}
 	return nil, fmt.Errorf("nf: unknown NF %q", name)
 }
-
-// Suite builds all six NFs.
-func Suite(cfg SuiteConfig) (map[string]NF, error) {
-	out := make(map[string]NF, len(Names))
-	for _, n := range Names {
-		f, err := New(n, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[n] = f
-	}
-	return out, nil
-}

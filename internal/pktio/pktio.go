@@ -210,12 +210,6 @@ func (s *Switch) AddRule(r Rule) error {
 	return nil
 }
 
-// VPPOf returns the pipeline bound to owner.
-func (s *Switch) VPPOf(owner mem.Owner) *VPP { return s.vpps[owner] }
-
-// RXReserved returns reserved RX bytes (for utilization accounting).
-func (s *Switch) RXReserved() uint64 { return s.rxReserved }
-
 // Deliver parses a wire frame, finds the first matching rule, and copies
 // the frame into the target NF's ring via the scheduler TLB. It returns
 // the receiving owner (mem.Free if the frame matched no rule or was

@@ -54,11 +54,6 @@ func (d *Device) SetFastPaths(fp FastPaths) {
 // FastPathConfig returns the active fast-path selection.
 func (d *Device) FastPathConfig() FastPaths { return d.fp }
 
-// PoolStats returns how many launches were served from the warm arena
-// (hits) versus the general allocator (misses) since the device was
-// built. Both are zero unless the warm pool was ever enabled.
-func (d *Device) PoolStats() (hits, misses uint64) { return d.poolHits, d.poolMisses }
-
 // ensureFastPathObs interns the pool hit/miss counters. They are
 // created only once a collector is attached AND the warm pool is
 // enabled: interned series render in metric dumps even at zero, and the
@@ -84,10 +79,8 @@ func (d *Device) allocNFBytes(id ID, n uint64) (mem.Range, bool, error) {
 		return r, false, err
 	}
 	if hit {
-		d.poolHits++
 		d.ctrPoolHit.Add(1)
 	} else {
-		d.poolMisses++
 		d.ctrPoolMiss.Add(1)
 	}
 	return r, hit, nil

@@ -62,8 +62,8 @@ func TestDefaultPathReportsUnchanged(t *testing.T) {
 	if want := float64(scrubbed) / rates.ScrubBytesPerSec * 1e3; tr.ScrubMS != want {
 		t.Errorf("ScrubMS = %v, want serial %v", tr.ScrubMS, want)
 	}
-	if hits, misses := d.PoolStats(); hits != 0 || misses != 0 {
-		t.Errorf("default path touched the pool: hits=%d misses=%d", hits, misses)
+	if n := d.Memory().PoolFrames(); n != 0 {
+		t.Errorf("default path parked %d frames in the pool", n)
 	}
 }
 

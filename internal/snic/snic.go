@@ -214,8 +214,6 @@ type Device struct {
 	// trusted-instruction model stays bit-identical to the paper
 	// calibration.
 	fp          FastPaths
-	poolHits    uint64
-	poolMisses  uint64
 	ctrPoolHit  *obs.Counter
 	ctrPoolMiss *obs.Counter
 }
