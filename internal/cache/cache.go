@@ -60,18 +60,16 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses())
 }
 
-// lineMeta is the bookkeeping half of a cache line. Tags live in their
-// own slice (structure-of-arrays) so the way-probe loop — the hottest
-// loop in the whole simulator — scans contiguous uint64s and only loads
-// the metadata of a tag that matched.
-type lineMeta struct {
-	used   uint64 // LRU timestamp
-	domain int32
-	valid  bool
-	dirty  bool
-}
+// validBit marks an occupied way in its tag word; an empty way's word is
+// zero. A tag has at most 63 significant bits whenever a set spans two
+// or more bytes of address space, which New requires, so the bit never
+// collides with tag bits.
+const validBit = 1 << 63
 
-// Cache is one level of set-associative cache.
+// Cache is one level of set-associative cache. Lines are stored as
+// parallel slices (structure-of-arrays), sets*ways long and row-major by
+// set: the way probe — the hottest loop in the whole simulator — reads
+// only tag words, and the victim scan reads only LRU stamps.
 type Cache struct {
 	name     string
 	lineSize uint64
@@ -79,8 +77,9 @@ type Cache struct {
 	ways     int
 	policy   Policy
 	domains  int
-	tags     []uint64   // sets*ways, row-major by set
-	meta     []lineMeta // parallel to tags
+	tags     []uint64 // tag | validBit; 0 = empty way
+	stamps   []uint64 // LRU stamp (tick of last use); 0 exactly when empty
+	owners   []int32  // domain that filled the line
 	tick     uint64
 	stats    []Stats
 	// pow2 indexing: when both lineSize and sets are powers of two (every
@@ -130,6 +129,9 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Policy == Static && cfg.Ways < cfg.Domains {
 		return nil, fmt.Errorf("cache: %d ways cannot be partitioned across %d domains", cfg.Ways, cfg.Domains)
 	}
+	if cfg.LineSize == 1 && sets == 1 {
+		return nil, fmt.Errorf("cache: one set of 1-byte lines leaves no spare tag bit")
+	}
 	c := &Cache{
 		name:     cfg.Name,
 		lineSize: cfg.LineSize,
@@ -138,7 +140,8 @@ func New(cfg Config) (*Cache, error) {
 		policy:   cfg.Policy,
 		domains:  cfg.Domains,
 		tags:     make([]uint64, int(lines)),
-		meta:     make([]lineMeta, int(lines)),
+		stamps:   make([]uint64, int(lines)),
+		owners:   make([]int32, int(lines)),
 		stats:    make([]Stats, cfg.Domains),
 	}
 	if cfg.LineSize&(cfg.LineSize-1) == 0 && sets&(sets-1) == 0 {
@@ -198,14 +201,12 @@ func (c *Cache) setWayAlloc(alloc [][2]int) {
 	for set := 0; set < c.sets; set++ {
 		base := set * c.ways
 		for w := 0; w < c.ways; w++ {
-			m := &c.meta[base+w]
-			if !m.valid {
+			if c.tags[base+w] == 0 {
 				continue
 			}
-			r := c.ranges[m.domain]
+			r := c.ranges[c.owners[base+w]]
 			if int32(w) < r[0] || int32(w) >= r[1] {
-				*m = lineMeta{}
-				c.tags[base+w] = 0
+				c.clear(base + w)
 			}
 		}
 	}
@@ -250,59 +251,61 @@ func (c *Cache) wayRange(domain int) (int, int) {
 
 // Access looks up the line containing pa on behalf of domain. It returns
 // true on a hit. On a miss the line is filled (evicting the domain's LRU
-// victim within its permitted ways) and false is returned.
+// victim within its permitted ways) and false is returned. write is part
+// of the reference interface; the model keeps no dirty state because it
+// simulates no write-back traffic.
 func (c *Cache) Access(pa mem.Addr, domain int, write bool) bool {
 	c.tick++
 	set, tag := c.locate(pa)
+	tw := tag | validBit
 	base := set * c.ways
 	r := c.ranges[domain]
 	lo, hi := base+int(r[0]), base+int(r[1])
 
-	// Probe: under Shared a domain can hit on any way (Intel CAT-style
-	// "soft" partitioning would hit across regions too — the paper notes
-	// this is why CAT is insufficient). Under Static, hits can only come
-	// from the domain's own ways, because no other placement ever occurs.
-	// The tag compare runs over the contiguous tags slice; metadata is
-	// only consulted on a candidate match.
-	for i := lo; i < hi; i++ {
-		m := &c.meta[i]
-		if c.tags[i] == tag && m.valid && int(m.domain) == domain {
-			m.used = c.tick
-			m.dirty = m.dirty || write
-			c.stats[domain].Hits++
-			if c.obsHits != nil {
-				c.obsHits[domain].Inc()
+	hit := -1
+	if c.policy == Shared {
+		// Every domain may hit on every way, including a line another
+		// domain brought in (a shared physical line): that cross-domain
+		// visibility is itself part of the side channel, and the reason
+		// Intel CAT-style "soft" partitioning is insufficient. A fill
+		// happens only after this probe missed the whole set, so a tag is
+		// resident at most once per set and the first match is the line.
+		for i := base; i < base+c.ways; i++ {
+			if c.tags[i] == tw {
+				hit = i
+				break
 			}
-			return true
+		}
+	} else {
+		// Static: hits can only come from the domain's own ways, because
+		// no other placement ever occurs.
+		for i := lo; i < hi; i++ {
+			if c.tags[i] == tw && int(c.owners[i]) == domain {
+				hit = i
+				break
+			}
 		}
 	}
-	// Shared policy: a line brought in by another domain still serves a
-	// hit (shared physical line) — this cross-domain visibility is itself
-	// part of the side channel.
-	if c.policy == Shared {
-		for i := base; i < base+c.ways; i++ {
-			m := &c.meta[i]
-			if c.tags[i] == tag && m.valid {
-				m.used = c.tick
-				m.dirty = m.dirty || write
-				c.stats[domain].Hits++
-				if c.obsHits != nil {
-					c.obsHits[domain].Inc()
-				}
-				return true
-			}
+	if hit >= 0 {
+		c.stamps[hit] = c.tick
+		c.stats[domain].Hits++
+		if c.obsHits != nil {
+			c.obsHits[domain].Inc()
 		}
+		return true
 	}
 
-	// Miss: fill into the LRU way of the permitted range.
+	// Miss: fill the permitted range's first empty way, else its LRU way.
+	// Empty ways are exactly the zero stamps and every live stamp is
+	// positive, so the first minimum is the first empty way if any.
 	victim := lo
 	for i := lo; i < hi; i++ {
-		m := &c.meta[i]
-		if !m.valid {
+		s := c.stamps[i]
+		if s == 0 {
 			victim = i
 			break
 		}
-		if m.used < c.meta[victim].used {
+		if s < c.stamps[victim] {
 			victim = i
 		}
 	}
@@ -310,14 +313,20 @@ func (c *Cache) Access(pa mem.Addr, domain int, write bool) bool {
 		c.obsMisses[domain].Inc()
 		// Evictions are charged to the domain losing the line, which is
 		// where cross-domain interference shows up under Shared.
-		if v := c.meta[victim]; v.valid {
-			c.obsEvictions[v.domain].Inc()
+		if c.tags[victim] != 0 {
+			c.obsEvictions[c.owners[victim]].Inc()
 		}
 	}
-	c.tags[victim] = tag
-	c.meta[victim] = lineMeta{used: c.tick, domain: int32(domain), valid: true, dirty: write}
+	c.tags[victim] = tw
+	c.stamps[victim] = c.tick
+	c.owners[victim] = int32(domain)
 	c.stats[domain].Misses++
 	return false
+}
+
+// clear empties way i.
+func (c *Cache) clear(i int) {
+	c.tags[i], c.stamps[i], c.owners[i] = 0, 0, 0
 }
 
 // Contains reports whether pa is resident (without touching LRU state or
@@ -326,7 +335,7 @@ func (c *Cache) Contains(pa mem.Addr) bool {
 	set, tag := c.locate(pa)
 	base := set * c.ways
 	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == tag && c.meta[i].valid {
+		if c.tags[i] == tag|validBit {
 			return true
 		}
 	}
@@ -339,10 +348,9 @@ func (c *Cache) Contains(pa mem.Addr) bool {
 // lines flushed.
 func (c *Cache) FlushDomain(domain int) int {
 	n := 0
-	for i := range c.meta {
-		if c.meta[i].valid && int(c.meta[i].domain) == domain {
-			c.meta[i] = lineMeta{}
-			c.tags[i] = 0
+	for i := range c.tags {
+		if c.tags[i] != 0 && int(c.owners[i]) == domain {
+			c.clear(i)
 			n++
 		}
 	}
@@ -359,8 +367,8 @@ func (c *Cache) ResetStats() {
 // OccupancyOf returns how many lines domain currently holds.
 func (c *Cache) OccupancyOf(domain int) int {
 	n := 0
-	for _, m := range c.meta {
-		if m.valid && int(m.domain) == domain {
+	for i, tw := range c.tags {
+		if tw != 0 && int(c.owners[i]) == domain {
 			n++
 		}
 	}

@@ -41,6 +41,19 @@ func TestBadConfigs(t *testing.T) {
 	if _, err := New(Config{Size: 8 << 10, LineSize: 64, Ways: 2, Policy: Static, Domains: 4}); err == nil {
 		t.Fatal("unpartitionable config accepted")
 	}
+	// One set of 1-byte lines: the tag is the whole address, so bit 63
+	// cannot serve as the valid bit. Two sets leave it free.
+	if _, err := New(Config{Size: 4, LineSize: 1, Ways: 4}); err == nil {
+		t.Fatal("one set of 1-byte lines accepted")
+	}
+	c, err := New(Config{Size: 8, LineSize: 1, Ways: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := mem.Addr(1) << 63
+	if c.Access(top, 0, false) || c.Contains(top|2) || !c.Contains(top) {
+		t.Fatal("top-bit address aliases another line")
+	}
 }
 
 func TestHitAfterMiss(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -68,11 +69,18 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// maxBodyBytes bounds every request body. The largest body a scenario
+// or benchmark sends is a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
 // status maps manager errors onto HTTP codes: unknown names are 404,
-// conflicts (duplicates, quota, capacity, state) are 409, malformed
-// requests are 400.
+// conflicts (duplicates, quota, capacity, state) are 409, bodies over
+// maxBodyBytes are 413, malformed requests are 400.
 func status(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNoTenant), errors.Is(err, ErrNoDevice), errors.Is(err, ErrNoNF):
 		return http.StatusNotFound
 	case errors.Is(err, ErrExists), errors.Is(err, ErrQuota),
@@ -99,11 +107,18 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 // decode strictly parses the request body into v (unknown fields are
-// errors, so typos in scenario scripts fail loudly as 400s).
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// errors, so typos in scenario scripts fail loudly as 400s). The body is
+// read through http.MaxBytesReader and drained after the JSON value, so
+// a body over maxBodyBytes is refused as a whole (413) even when its
+// first value would parse.
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("fleet: bad request body: %w", err)
+	}
+	if _, err := io.Copy(io.Discard, body); err != nil {
 		return fmt.Errorf("fleet: bad request body: %w", err)
 	}
 	return nil
@@ -143,7 +158,7 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (a *API) handleAddDevice(w http.ResponseWriter, r *http.Request) {
 	var spec DeviceSpec
-	if err := decode(r, &spec); err != nil {
+	if err := decode(w, r, &spec); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -193,7 +208,7 @@ type admitReq struct {
 
 func (a *API) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	var req admitReq
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -222,7 +237,7 @@ func (a *API) handleTenantSub(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"evicted": name})
 	case sub == "nfs" && r.Method == http.MethodPost:
 		var spec NFSpec
-		if err := decode(r, &spec); err != nil {
+		if err := decode(w, r, &spec); err != nil {
 			writeErr(w, err)
 			return
 		}
@@ -247,7 +262,7 @@ func (a *API) handleTenantSub(w http.ResponseWriter, r *http.Request) {
 
 func (a *API) handleBurst(w http.ResponseWriter, r *http.Request) {
 	var spec WorkloadSpec
-	if err := decode(r, &spec); err != nil {
+	if err := decode(w, r, &spec); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -261,7 +276,7 @@ func (a *API) handleBurst(w http.ResponseWriter, r *http.Request) {
 
 func (a *API) handleChurn(w http.ResponseWriter, r *http.Request) {
 	var spec ChurnSpec
-	if err := decode(r, &spec); err != nil {
+	if err := decode(w, r, &spec); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -280,7 +295,7 @@ type advanceReq struct {
 
 func (a *API) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req advanceReq
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

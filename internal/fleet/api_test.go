@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"snic/internal/device"
 	"snic/internal/obs"
 )
 
@@ -95,6 +97,8 @@ func TestAPIStatusCodes(t *testing.T) {
 		{"nf without name", "POST", "/v1/tenants/acme/nfs", `{}`, 400},
 		// 2^44 MB is the first count whose byte value wraps 64 bits.
 		{"device mem_mb overflow", "POST", "/v1/devices", `{"name":"x","model":"snic","mem_mb":17592186044416}`, 400},
+		// 2^30 MB fits 64 bits as bytes but is far above MaxDeviceMemMB.
+		{"device mem_mb above the cap", "POST", "/v1/devices", `{"name":"x","model":"snic","mem_mb":1073741824}`, 400},
 		{"quota mem_mb overflow", "POST", "/v1/tenants", `{"name":"x","quota":{"mem_mb":17592186044416}}`, 400},
 		{"nf mem_mb overflow", "POST", "/v1/tenants/acme/nfs", `{"name":"x","mem_mb":17592186044416}`, 400},
 		{"churn mem_mb overflow", "POST", "/v1/churn", `{"mem_mb":17592186044416}`, 400},
@@ -192,6 +196,84 @@ func TestAPIMemQuotaOverflow(t *testing.T) {
 	}
 	if st := m.Stats(); st.Placed != 2 {
 		t.Fatalf("placed %d NFs, want 2", st.Placed)
+	}
+}
+
+// TestAPIDeviceMemCap checks MaxDeviceMemMB from both sides: it admits
+// every registered model's default memory and every device a scenario
+// adds, a device exactly at the cap is built, and one MB more is
+// refused before any model allocates its frame-owner table.
+func TestAPIDeviceMemCap(t *testing.T) {
+	for _, model := range device.Models() {
+		nic, err := device.New(device.Spec{Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mb := nic.MemBytes() >> 20; mb > MaxDeviceMemMB {
+			t.Errorf("model %s defaults to %d MB, above the %d MB cap", model, mb, MaxDeviceMemMB)
+		}
+	}
+	paths, err := filepath.Glob(filepath.Join("scenarios", "*", "scenario.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenarios found: %v", err)
+	}
+	for _, p := range paths {
+		sc, err := LoadScenario(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range sc.Steps {
+			if st.Method != "POST" || st.Path != "/v1/devices" {
+				continue
+			}
+			var spec DeviceSpec
+			if err := json.Unmarshal(st.Body, &spec); err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			if spec.MemMB > MaxDeviceMemMB {
+				t.Errorf("%s: device %s has mem_mb %d, above the %d MB cap", p, spec.Name, spec.MemMB, MaxDeviceMemMB)
+			}
+		}
+	}
+
+	_, srv := newTestServer(t)
+	at := fmt.Sprintf(`{"name":"big","model":"snic","mem_mb":%d}`, MaxDeviceMemMB)
+	if got, body := do(t, srv, "POST", "/v1/devices", at); got != 201 {
+		t.Fatalf("device at the cap = %d, want 201\n%s", got, body)
+	}
+	over := fmt.Sprintf(`{"name":"bigger","model":"snic","mem_mb":%d}`, MaxDeviceMemMB+1)
+	if got, body := do(t, srv, "POST", "/v1/devices", over); got != 400 || !strings.Contains(body, "cap") {
+		t.Fatalf("device over the cap = %d, want 400 cap error\n%s", got, body)
+	}
+}
+
+// TestAPIBodyLimit sends bodies over maxBodyBytes: one whose JSON value
+// itself is oversized and one whose valid value is followed by padding.
+// Both must be refused whole with a 413 JSON envelope, and neither may
+// leave a partially applied request behind.
+func TestAPIBodyLimit(t *testing.T) {
+	m, srv := newTestServer(t)
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, tc := range []struct{ name, body string }{
+		{"oversized value", `{"name":"` + strings.Repeat("x", maxBodyBytes) + `","model":"snic"}`},
+		{"valid value then padding", `{"name":"padded","model":"snic"}` + pad},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, body := do(t, srv, "POST", "/v1/devices", tc.body)
+			if got != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413\n%.200s", got, body)
+			}
+			var env apiError
+			if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error == "" {
+				t.Fatalf("response is not a JSON error envelope: %.200s", body)
+			}
+		})
+	}
+	if n := len(m.Configured().Devices); n != 0 {
+		t.Fatalf("%d devices added by refused bodies, want 0", n)
+	}
+	if got, body := do(t, srv, "POST", "/v1/devices", `{"name":"small","model":"snic"}`+strings.Repeat(" ", 1024)); got != 201 {
+		t.Fatalf("small padded body = %d, want 201\n%s", got, body)
 	}
 }
 

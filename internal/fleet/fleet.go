@@ -75,15 +75,23 @@ type ResourceSpec struct {
 }
 
 // checkMemMB rejects a client-supplied MB count whose byte value does not
-// fit in 64 bits. Every entry point that takes a mem_mb calls it first,
-// so the manager's internal MB→byte shifts never wrap: unchecked, 2^44 MB
-// would become a zero-byte demand that passes any quota.
+// fit in 64 bits. Every entry point that takes a mem_mb calls it first
+// (devices check the tighter MaxDeviceMemMB instead), so the manager's
+// internal MB→byte shifts never wrap: unchecked, 2^44 MB would become a
+// zero-byte demand that passes any quota.
 func checkMemMB(what string, mb uint64) error {
 	if mb > math.MaxUint64>>20 {
 		return fmt.Errorf("fleet: %s mem_mb %d overflows a byte count", what, mb)
 	}
 	return nil
 }
+
+// MaxDeviceMemMB caps a device's DRAM at 64 GB. Every model keeps an
+// owner slot per memory frame, so an uncapped mem_mb that merely fits in
+// 64 bits (2^30 MB, say) would allocate gigabytes of ownership table.
+// The cap is far above every registered model's 64 MB default and every
+// device a scenario adds.
+const MaxDeviceMemMB = 64 << 10
 
 // allows reports whether adding add to used stays inside the quota.
 // Zero quota axes are unlimited: a tenant admitted with an empty quota

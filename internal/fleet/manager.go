@@ -211,8 +211,8 @@ func (m *Manager) AddDevice(spec DeviceSpec) error {
 	if spec.Name == "" || spec.Model == "" {
 		return fmt.Errorf("fleet: device needs name and model")
 	}
-	if err := checkMemMB("device", spec.MemMB); err != nil {
-		return err
+	if spec.MemMB > MaxDeviceMemMB {
+		return fmt.Errorf("fleet: device mem_mb %d exceeds the %d MB device cap", spec.MemMB, MaxDeviceMemMB)
 	}
 	if _, dup := m.devices[spec.Name]; dup {
 		return fmt.Errorf("%w: device %q", ErrExists, spec.Name)

@@ -99,20 +99,18 @@ func (f *Firewall) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu
 	}
 	rulesBase := base + mem.Addr(pktSlot*64) + mem.Addr(cacheRegion)
 	cacheBase := base + mem.Addr(pktSlot*64)
-	seenCap := FirewallCacheLimit
-	seen := make(map[int]bool)
-	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand) packetCost {
+	seen := newFlowSet(pool.NumFlows())
+	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand, touches []touch) packetCost {
 		off := flowOffset(flow, cacheRegion)
 		c := packetCost{
 			parseInstr: 90,
-			touches: []touch{
-				{addr: cacheBase + mem.Addr(off)},
-				{addr: cacheBase + mem.Addr(off) + 64},
-			},
+			touches: append(touches,
+				touch{addr: cacheBase + mem.Addr(off)},
+				touch{addr: cacheBase + mem.Addr(off) + 64},
+			),
 			tailInstr: 60,
 		}
-		if !seen[flow] && len(seen) < seenCap {
-			seen[flow] = true
+		if seen.n < FirewallCacheLimit && seen.add(flow) {
 			// Miss path: scan the ruleset (~643 rules, 64 B each).
 			for i := 0; i < len(f.rules)*ruleBytes/64; i += 4 {
 				c.touches = append(c.touches, touch{addr: rulesBase + mem.Addr(i*64)})

@@ -76,20 +76,19 @@ func (l *LB) NewStream(rng *sim.Rand, pool *trace.Pool, base mem.Addr) cpu.Strea
 	}
 	tblBase := base + mem.Addr(pktSlot*64)
 	connBase := tblBase + mem.Addr(tblRegion)
-	seen := make(map[int]bool)
-	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand) packetCost {
+	seen := newFlowSet(pool.NumFlows())
+	return newPktStream(rng, pool, base, func(flow, payloadLen int, r *sim.Rand, touches []touch) packetCost {
 		slot := (tupleHash(pool.Flow(flow)) % (tblRegion / 64)) * 64
 		off := flowOffset(flow, connRegion)
 		c := packetCost{
 			parseInstr: 80,
-			touches: []touch{
-				{addr: connBase + mem.Addr(off)},
-				{addr: tblBase + mem.Addr(slot)},
-			},
+			touches: append(touches,
+				touch{addr: connBase + mem.Addr(off)},
+				touch{addr: tblBase + mem.Addr(slot)},
+			),
 			tailInstr: 60,
 		}
-		if !seen[flow] {
-			seen[flow] = true
+		if seen.add(flow) {
 			c.touches = append(c.touches, touch{addr: connBase + mem.Addr(off), store: true})
 		}
 		return c

@@ -21,8 +21,11 @@ type packetCost struct {
 }
 
 // costFn computes the cost of one packet given the sampled flow and a
-// per-NF scratch RNG.
-type costFn func(flow int, payloadLen int, rng *sim.Rand) packetCost
+// per-NF scratch RNG. touches is the stream's reusable buffer, emptied:
+// the cost function appends the packet's references to it and returns
+// the result in packetCost.touches, so steady-state packets allocate
+// nothing.
+type costFn func(flow int, payloadLen int, rng *sim.Rand, touches []touch) packetCost
 
 // pktStream converts per-packet costs into a cpu.Stream: for every packet
 // it emits a few loads to the packet buffer (headers live in the NF's
@@ -38,8 +41,9 @@ type pktStream struct {
 	pktRing uint64
 	pktIdx  uint64
 
-	queue []cpu.Op
-	qi    int
+	touches []touch // reused across packets; see costFn
+	queue   []cpu.Op
+	qi      int
 }
 
 const pktSlot = 2048 // bytes per packet-buffer slot
@@ -62,7 +66,8 @@ func (s *pktStream) refill() {
 	s.qi = 0
 	flow := s.pool.NextFlow()
 	payloadLen := trace.IMIXLen(s.rng)
-	c := s.cost(flow, payloadLen, s.rng)
+	c := s.cost(flow, payloadLen, s.rng, s.touches[:0])
+	s.touches = c.touches
 
 	// Packet arrival: read the descriptor + first lines of the packet.
 	slot := s.pktBase + mem.Addr((s.pktIdx%s.pktRing)*pktSlot)
@@ -117,4 +122,26 @@ func flowOffset(flow int, region uint64) uint64 {
 	h := uint64(flow+1) * 0x9E3779B97F4A7C15
 	h ^= h >> 29
 	return (h % (region / 64)) * 64
+}
+
+// flowSet is a bitset over a pool's flow indices. The streams use it to
+// send each flow's first packet down the insert path.
+type flowSet struct {
+	bits []uint64
+	n    int // flows added so far
+}
+
+func newFlowSet(flows int) flowSet {
+	return flowSet{bits: make([]uint64, (flows+63)/64)}
+}
+
+// add marks flow as seen and reports whether it was new.
+func (s *flowSet) add(flow int) bool {
+	w, b := flow>>6, uint64(1)<<(flow&63)
+	if s.bits[w]&b != 0 {
+		return false
+	}
+	s.bits[w] |= b
+	s.n++
+	return true
 }

@@ -169,6 +169,63 @@ func TestZipfProbSumsToOne(t *testing.T) {
 	}
 }
 
+// fullSearch is the sampler's original lookup, kept as the reference
+// for the guide-indexed search: the first cdf entry >= u, by binary
+// search over the whole table.
+func fullSearch(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesFullSearch checks that the guide-indexed search
+// returns exactly the full-range binary search's rank: on random draws,
+// on every bucket boundary k/4096, and on every CDF value, where the
+// two answers are easiest to tell apart.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4097, 65536} {
+		for _, s := range []float64{0, 1.1, 1.2} {
+			tab := NewZipfTable(n, s)
+			check := func(what string, u float64) {
+				if got, want := tab.search(u), fullSearch(tab.cdf, u); got != want {
+					t.Fatalf("n=%d s=%v %s u=%v: guide search %d, full search %d", n, s, what, u, got, want)
+				}
+			}
+			rng := NewRand(uint64(n)*31 + uint64(s*10))
+			for i := 0; i < 100000; i++ {
+				check("draw", rng.Float64())
+			}
+			for k := 0; k < 1<<zipfGuideBits; k++ {
+				check("boundary", float64(k)/(1<<zipfGuideBits))
+			}
+			for _, c := range tab.cdf {
+				check("cdf value", c)
+			}
+		}
+	}
+}
+
+// TestZipfWithRandSharesTable checks that samplers stamped from one
+// table draw exactly what NewZipf's own sampler draws.
+func TestZipfWithRandSharesTable(t *testing.T) {
+	tab := NewZipfTable(5000, 1.2)
+	a, b := tab.WithRand(NewRand(9)), NewZipf(NewRand(9), 5000, 1.2)
+	c := b.WithRand(NewRand(9))
+	for i := 0; i < 10000; i++ {
+		x, y, z := a.Next(), b.Next(), c.Next()
+		if x != y || y != z {
+			t.Fatalf("draw %d: table %d, NewZipf %d, WithRand %d", i, x, y, z)
+		}
+	}
+}
+
 func TestSummarizeBasics(t *testing.T) {
 	s := Summarize([]float64{3, 1, 2})
 	if s.Median != 2 || s.N != 3 || s.Mean != 2 {
