@@ -14,10 +14,16 @@
 // Table 7 rather than the ~0.5 GB a raw 256-way table would need.
 package ac
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
+
+// matchBit flags a goto-table entry whose target state has a non-empty
+// output list. It is the sign bit of the int32 entry, so the scan loop
+// tests for a match with one compare and reads out only on a hit.
+const matchBit = -1 << 31
+
+// maxTable bounds the goto table so that every row offset fits below
+// matchBit in an int32 entry.
+const maxTable = 1<<31 - 1
 
 // Automaton is a compiled pattern set.
 type Automaton struct {
@@ -26,7 +32,9 @@ type Automaton struct {
 	// nclasses is the number of byte classes.
 	nclasses int
 	// next[state*nclasses+class] is the goto function with failure links
-	// pre-resolved, so matching never backtracks.
+	// pre-resolved, so matching never backtracks. An entry holds the
+	// target's row offset (target*nclasses), so the next lookup needs no
+	// multiply, with matchBit set when out[target] is non-empty.
 	next []int32
 	// out[state] lists pattern indices terminating at state.
 	out [][]int32
@@ -38,13 +46,26 @@ type Match struct {
 	End     int // byte offset one past the match in the scanned input
 }
 
+// tableBound returns the goto-table length the compiler preallocates:
+// the trie has at most patternBytes+1 states, each with one row of
+// nclasses entries. It fails when that bound does not fit an int32 row
+// offset below matchBit.
+func tableBound(patternBytes, nclasses int) (int, error) {
+	if patternBytes+1 > maxTable/nclasses {
+		return 0, fmt.Errorf("ac: %d pattern bytes over %d byte classes overflow the goto table", patternBytes, nclasses)
+	}
+	return (patternBytes + 1) * nclasses, nil
+}
+
 // Compile builds the automaton for the given patterns. Empty patterns are
 // rejected; duplicate patterns are allowed (each gets its own index).
 func Compile(patterns [][]byte) (*Automaton, error) {
+	total := 0
 	for i, p := range patterns {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("ac: pattern %d is empty", i)
 		}
+		total += len(p)
 	}
 	a := &Automaton{}
 	// Byte classes: class 0 = "appears in no pattern"; each distinct
@@ -63,87 +84,71 @@ func Compile(patterns [][]byte) (*Automaton, error) {
 		}
 	}
 	a.nclasses = nc
+	bound, err := tableBound(total, nc)
+	if err != nil {
+		return nil, err
+	}
 
-	type node struct {
-		children map[uint16]int32 // by class
-		fail     int32
-		out      []int32
-	}
-	nodes := []*node{{children: map[uint16]int32{}}}
-	// Phase 1: trie over classes.
+	// Phase 1: trie over classes, one dense row per state. An entry is
+	// the child's row offset, or 0 for no child (the root is nobody's
+	// child). The table is allocated at its bound once, so rows are
+	// appended without copying.
+	next := make([]int32, nc, bound)
+	out := [][]int32{nil}
 	for pi, p := range patterns {
-		cur := int32(0)
+		row := 0
 		for _, b := range p {
-			cl := a.classOf[b]
-			nxt, ok := nodes[cur].children[cl]
-			if !ok {
-				nxt = int32(len(nodes))
-				nodes = append(nodes, &node{children: map[uint16]int32{}})
-				nodes[cur].children[cl] = nxt
+			i := row + int(a.classOf[b])
+			if next[i] == 0 {
+				next[i] = int32(len(next))
+				next = next[:len(next)+nc]
+				out = append(out, nil)
 			}
-			cur = nxt
+			row = int(next[i])
 		}
-		nodes[cur].out = append(nodes[cur].out, int32(pi))
+		out[row/nc] = append(out[row/nc], int32(pi))
 	}
-	// Phase 2: BFS failure links. Children are visited in ascending class
-	// order so the queue — and with it the out-list concatenation order —
-	// is a pure function of the pattern set, not of map iteration.
-	sortedChildren := func(n *node) []uint16 {
-		cls := make([]uint16, 0, len(n.children))
-		for cl := range n.children {
-			cls = append(cls, cl)
+
+	// Phase 2: BFS failure links, resolved in place. Children are visited
+	// in ascending class order so the queue — and with it the out-list
+	// concatenation order — is a pure function of the pattern set. A row
+	// is complete once its state is dequeued: a trie child v of u gets
+	// fail[v] = next[fail[u]][cl], and every other entry of u's row
+	// becomes next[fail[u]][cl]. Failure states are shallower than u, so
+	// their rows are already complete, match bits included.
+	flag := func(off int32) int32 {
+		if len(out[int(off)/nc]) > 0 {
+			return off | matchBit
 		}
-		sort.Slice(cls, func(i, j int) bool { return cls[i] < cls[j] })
-		return cls
+		return off
 	}
-	queue := make([]int32, 0, len(nodes))
-	for _, cl := range sortedChildren(nodes[0]) {
-		c := nodes[0].children[cl]
-		nodes[c].fail = 0
-		queue = append(queue, c)
+	fail := make([]int32, len(out)) // failure state's row offset, per state
+	queue := make([]int32, 0, len(out))
+	for cl := 0; cl < nc; cl++ {
+		if v := next[cl]; v != 0 {
+			queue = append(queue, v)
+			next[cl] = flag(v)
+		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		for _, cl := range sortedChildren(nodes[u]) {
-			v := nodes[u].children[cl]
-			queue = append(queue, v)
-			f := nodes[u].fail
-			for {
-				if w, ok := nodes[f].children[cl]; ok && w != v {
-					nodes[v].fail = w
-					break
-				}
-				if f == 0 {
-					if w, ok := nodes[0].children[cl]; ok && w != v {
-						nodes[v].fail = w
-					} else {
-						nodes[v].fail = 0
-					}
-					break
-				}
-				f = nodes[f].fail
-			}
-			nodes[v].out = append(nodes[v].out, nodes[nodes[v].fail].out...)
-		}
-	}
-	// Phase 3: dense goto table over classes with failures resolved.
-	a.next = make([]int32, len(nodes)*nc)
-	a.out = make([][]int32, len(nodes))
-	order := append([]int32{0}, queue...)
-	for _, s := range order {
-		n := nodes[s]
-		a.out[s] = n.out
-		row := int(s) * nc
+		u := int(queue[qi])
+		f := int(fail[u/nc])
 		for cl := 0; cl < nc; cl++ {
-			if c, ok := n.children[uint16(cl)]; ok {
-				a.next[row+cl] = c
-			} else if s == 0 {
-				a.next[cl] = 0
-			} else {
-				a.next[row+cl] = a.next[int(n.fail)*nc+cl]
+			v := next[u+cl]
+			if v == 0 {
+				next[u+cl] = next[f+cl]
+				continue
 			}
+			fv := next[f+cl] &^ matchBit
+			vs := int(v) / nc
+			fail[vs] = fv
+			out[vs] = append(out[vs], out[int(fv)/nc]...)
+			queue = append(queue, v)
+			next[u+cl] = flag(v)
 		}
 	}
+	a.next = next
+	a.out = out
 	return a, nil
 }
 
@@ -169,12 +174,12 @@ func (a *Automaton) MemoryBytes() uint64 {
 // byte — the access pattern the DPI accelerator model charges DRAM
 // bandwidth for.
 func (a *Automaton) Scan(input []byte, dst []Match) []Match {
-	s := int32(0)
-	nc := a.nclasses
+	next, classOf := a.next, &a.classOf
+	e := int32(0)
 	for i, b := range input {
-		s = a.next[int(s)*nc+int(a.classOf[b])]
-		if outs := a.out[s]; len(outs) > 0 {
-			for _, p := range outs {
+		e = next[int(e&^matchBit)+int(classOf[b])]
+		if e < 0 {
+			for _, p := range a.out[int(e&^matchBit)/a.nclasses] {
 				dst = append(dst, Match{Pattern: int(p), End: i + 1})
 			}
 		}
@@ -184,11 +189,11 @@ func (a *Automaton) Scan(input []byte, dst []Match) []Match {
 
 // Contains reports whether any pattern occurs in input (early exit).
 func (a *Automaton) Contains(input []byte) bool {
-	s := int32(0)
-	nc := a.nclasses
+	next, classOf := a.next, &a.classOf
+	e := int32(0)
 	for _, b := range input {
-		s = a.next[int(s)*nc+int(a.classOf[b])]
-		if len(a.out[s]) > 0 {
+		e = next[int(e&^matchBit)+int(classOf[b])]
+		if e < 0 {
 			return true
 		}
 	}
@@ -199,10 +204,10 @@ func (a *Automaton) Contains(input []byte) bool {
 // final state; used by the accelerator model to meter graph-cache traffic
 // deterministically without allocating matches.
 func (a *Automaton) StateWalk(input []byte) (visited int, final int32) {
-	s := int32(0)
-	nc := a.nclasses
+	next, classOf := a.next, &a.classOf
+	e := int32(0)
 	for _, b := range input {
-		s = a.next[int(s)*nc+int(a.classOf[b])]
+		e = next[int(e&^matchBit)+int(classOf[b])]
 	}
-	return len(input), s
+	return len(input), (e &^ matchBit) / int32(a.nclasses)
 }

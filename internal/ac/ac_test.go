@@ -88,6 +88,29 @@ func TestEmptyPatternRejected(t *testing.T) {
 	}
 }
 
+// The goto table stores row offsets below the int32 sign bit, so the
+// compiler refuses a pattern set whose preallocation bound would wrap
+// instead of building a corrupt table.
+func TestTableBoundOverflow(t *testing.T) {
+	for _, nc := range []int{1, 2, 96, 257} {
+		fit := maxTable/nc - 1 // largest pattern-byte total that fits
+		n, err := tableBound(fit, nc)
+		if err != nil {
+			t.Fatalf("tableBound(%d, %d): %v", fit, nc, err)
+		}
+		if n != (fit+1)*nc || n > maxTable || int32(n-nc)&matchBit != 0 {
+			t.Fatalf("tableBound(%d, %d) = %d: last row offset reaches the match bit", fit, nc, n)
+		}
+		if _, err := tableBound(fit+1, nc); err == nil {
+			t.Fatalf("tableBound(%d, %d) accepted a table of %d entries", fit+1, nc, (fit+2)*nc)
+		}
+	}
+	// 16 M pattern bytes over 129 classes is 2.2 G entries.
+	if _, err := tableBound(16<<20, 129); err == nil {
+		t.Fatal("2^31-entry table accepted")
+	}
+}
+
 func TestContainsEarlyExit(t *testing.T) {
 	a := compile(t, "x")
 	if !a.Contains([]byte("aaax")) {

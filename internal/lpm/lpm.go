@@ -7,10 +7,11 @@
 //   - TBL8 pools: 256-entry second-level tables for prefixes longer
 //     than /24.
 //
-// Inserts use the standard depth-tracking discipline (an entry written by
-// a /n route is only overwritten by a route with length >= n), so inserts
-// are incremental and order-independent. Deletes rebuild from the retained
-// route set — rare in router workloads and trivially correct.
+// A TBL24 entry is one packed 4-byte word: poolFlag | pool index, or
+// (prefix length + 1) << 16 | next hop, with 0 meaning no route. Inserts
+// use the standard depth-tracking discipline (an entry written by a /n
+// route is only overwritten by a route with length >= n), so inserts are
+// incremental and order-independent.
 //
 // The 2^24 x 4 B base table is 64 MB, which is what gives the LPM NF its
 // ~68 MB heap in Table 6.
@@ -22,13 +23,17 @@ import (
 
 const tbl24Size = 1 << 24
 
+// poolFlag marks a TBL24 entry that indexes a TBL8 pool.
+const poolFlag = 1 << 31
+
 // Table is a DIR-24-8 lookup table. NextHop values are 16-bit.
 type Table struct {
-	nh24    []uint16 // direct next hop per /24 (valid if depth24 > 0)
-	depth24 []uint8  // 0 = no direct route; else prefix length + 1
-	pool24  []int32  // index into pools, or -1
-	pools   [][]poolEntry
-	routes  map[uint64]uint16 // key: prefix<<8 | length
+	// tbl24 holds one packed entry per /24: poolFlag | pool index, or
+	// depth<<16 | next hop (depth = prefix length + 1), or 0 for none.
+	// Once a /24 has a pool, only the pool is read or written.
+	tbl24  []uint32
+	pools  [][]poolEntry
+	routes map[uint64]uint16 // key: prefix<<8 | length
 }
 
 type poolEntry struct {
@@ -38,16 +43,10 @@ type poolEntry struct {
 
 // New returns an empty table.
 func New() *Table {
-	t := &Table{
-		nh24:    make([]uint16, tbl24Size),
-		depth24: make([]uint8, tbl24Size),
-		pool24:  make([]int32, tbl24Size),
-		routes:  make(map[uint64]uint16),
+	return &Table{
+		tbl24:  make([]uint32, tbl24Size),
+		routes: make(map[uint64]uint16),
 	}
-	for i := range t.pool24 {
-		t.pool24[i] = -1
-	}
-	return t
 }
 
 // Insert adds a route for prefix/length -> nexthop. Longest prefix wins on
@@ -64,40 +63,42 @@ func (t *Table) Insert(prefix uint32, length int, nexthop uint16) error {
 
 func (t *Table) apply(prefix uint32, length int, nh uint16) {
 	d := uint8(length + 1)
+	direct := uint32(d)<<16 | uint32(nh)
 	if length <= 24 {
 		span := 1 << (24 - length)
 		start := int(prefix >> 8)
 		for i := start; i < start+span; i++ {
-			if t.depth24[i] <= d {
-				t.nh24[i] = nh
-				t.depth24[i] = d
+			e := t.tbl24[i]
+			if e&poolFlag == 0 {
+				if uint8(e>>16) <= d {
+					t.tbl24[i] = direct
+				}
+				continue
 			}
-			if p := t.pool24[i]; p >= 0 {
-				pool := t.pools[p]
-				for j := range pool {
-					if pool[j].depth <= d {
-						pool[j] = poolEntry{nh: nh, depth: d}
-					}
+			pool := t.pools[e&^poolFlag]
+			for j := range pool {
+				if pool[j].depth <= d {
+					pool[j] = poolEntry{nh: nh, depth: d}
 				}
 			}
 		}
 		return
 	}
 	idx := int(prefix >> 8)
-	p := t.pool24[idx]
-	if p < 0 {
+	e := t.tbl24[idx]
+	if e&poolFlag == 0 {
 		// Materialize a pool inheriting the current direct route.
 		pool := make([]poolEntry, 256)
-		if t.depth24[idx] > 0 {
+		if e != 0 {
 			for j := range pool {
-				pool[j] = poolEntry{nh: t.nh24[idx], depth: t.depth24[idx]}
+				pool[j] = poolEntry{nh: uint16(e), depth: uint8(e >> 16)}
 			}
 		}
 		t.pools = append(t.pools, pool)
-		p = int32(len(t.pools) - 1)
-		t.pool24[idx] = p
+		e = poolFlag | uint32(len(t.pools)-1)
+		t.tbl24[idx] = e
 	}
-	pool := t.pools[p]
+	pool := t.pools[e&^poolFlag]
 	span := 1 << (32 - length)
 	start := int(prefix & 0xFF)
 	for j := start; j < start+span; j++ {
@@ -111,18 +112,18 @@ func (t *Table) apply(prefix uint32, length int, nh uint16) {
 // fast path is one memory access; /25+ prefixes take two — the property
 // DIR-24-8 was designed around.
 func (t *Table) Lookup(addr uint32) (uint16, bool) {
-	idx := addr >> 8
-	if p := t.pool24[idx]; p >= 0 {
-		e := t.pools[p][addr&0xFF]
-		if e.depth == 0 {
+	e := t.tbl24[addr>>8]
+	if e&poolFlag != 0 {
+		pe := t.pools[e&^poolFlag][addr&0xFF]
+		if pe.depth == 0 {
 			return 0, false
 		}
-		return e.nh, true
+		return pe.nh, true
 	}
-	if t.depth24[idx] == 0 {
+	if e == 0 {
 		return 0, false
 	}
-	return t.nh24[idx], true
+	return uint16(e), true
 }
 
 // Len returns the number of installed routes.

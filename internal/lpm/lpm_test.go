@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"snic/internal/sim"
+	"snic/internal/trace"
 )
 
 func ip(a, b, c, d byte) uint32 {
@@ -185,6 +186,21 @@ func TestMatchesNaiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkBuild builds the LPM NF's table: New plus 16,000 synthetic
+// routes.
+func BenchmarkBuild(b *testing.B) {
+	routes := trace.Routes(sim.NewRand(1), 16000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl := New()
+		for _, r := range routes {
+			if err := tbl.Insert(r.Prefix, r.Length, r.NextHop); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

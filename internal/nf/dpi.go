@@ -20,11 +20,12 @@ type DPI struct {
 	graph    uint64 // auto.MemoryBytes(), fixed once compiled
 	blocking bool
 
-	// Stats.
+	// Stats. Alerts holds the first alertCap matches, in scan order.
 	Scanned  uint64
 	Matches  uint64
 	Alerts   []ac.Match
-	keepLast int
+	alertCap int
+	scratch  []ac.Match // reused Scan buffer
 }
 
 // NewDPI compiles patterns into a DPI engine. blocking selects drop-on-
@@ -38,7 +39,7 @@ func NewDPI(patterns [][]byte, blocking bool) (*DPI, error) {
 	}
 	graph := auto.MemoryBytes()
 	a.Alloc(mem.SegHeap, graph)
-	return &DPI{arena: a, auto: auto, graph: graph, blocking: blocking, keepLast: 1024}, nil
+	return &DPI{arena: a, auto: auto, graph: graph, blocking: blocking, alertCap: 1024}, nil
 }
 
 // Arena implements NF.
@@ -47,13 +48,14 @@ func (d *DPI) Arena() *mem.Arena { return d.arena }
 // Process implements NF.
 func (d *DPI) Process(p *pkt.Packet) Verdict {
 	d.Scanned++
-	ms := d.auto.Scan(p.Payload, nil)
+	ms := d.auto.Scan(p.Payload, d.scratch[:0])
+	d.scratch = ms
 	if len(ms) == 0 {
 		return Pass
 	}
 	d.Matches += uint64(len(ms))
-	if len(d.Alerts) < d.keepLast {
-		d.Alerts = append(d.Alerts, ms...)
+	if room := d.alertCap - len(d.Alerts); room > 0 {
+		d.Alerts = append(d.Alerts, ms[:min(room, len(ms))]...)
 	}
 	if d.blocking {
 		return Drop

@@ -132,6 +132,31 @@ func TestDPIReportOnlyMode(t *testing.T) {
 	}
 }
 
+// Alerts keeps the first 1,024 matches and stops there exactly, even
+// when one packet's matches straddle the cap; the counters and verdicts
+// keep going.
+func TestDPIAlertCap(t *testing.T) {
+	d, _ := NewDPI([][]byte{[]byte("EV"), []byte("EVIL")}, true)
+	bad := mkPacket(pkt.FiveTuple{Proto: 6}, "EVIL EVIL EVIL") // 6 matches
+	for i := 0; i < 200; i++ {
+		if d.Process(&bad) != Drop {
+			t.Fatalf("packet %d passed", i)
+		}
+	}
+	if d.Matches != 1200 || d.Scanned != 200 {
+		t.Fatalf("stats: %d matches %d scanned", d.Matches, d.Scanned)
+	}
+	if len(d.Alerts) != 1024 {
+		t.Fatalf("alerts = %d, want the cap of 1024", len(d.Alerts))
+	}
+	want := d.auto.Scan(bad.Payload, nil)
+	for i, m := range d.Alerts {
+		if m != want[i%len(want)] {
+			t.Fatalf("alert %d = %+v, want %+v", i, m, want[i%len(want)])
+		}
+	}
+}
+
 func TestNATTranslatesAndReverses(t *testing.T) {
 	n := NewNAT(0xC6336401)
 	orig := pkt.FiveTuple{SrcIP: 0x0A000001, DstIP: 0x08080808, SrcPort: 5555, DstPort: 80, Proto: 6}

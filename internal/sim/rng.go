@@ -8,6 +8,8 @@
 // rates, so every experiment is exactly reproducible from its seed.
 package sim
 
+import "encoding/binary"
+
 // Rand is a small, fast, deterministic PRNG (xorshift64* by Vigna).
 // It is NOT safe for concurrent use; give each simulated component its own.
 type Rand struct {
@@ -64,15 +66,7 @@ func (r *Rand) Perm(n int) []int {
 func (r *Rand) Bytes(b []byte) {
 	i := 0
 	for ; i+8 <= len(b); i += 8 {
-		v := r.Uint64()
-		b[i] = byte(v)
-		b[i+1] = byte(v >> 8)
-		b[i+2] = byte(v >> 16)
-		b[i+3] = byte(v >> 24)
-		b[i+4] = byte(v >> 32)
-		b[i+5] = byte(v >> 40)
-		b[i+6] = byte(v >> 48)
-		b[i+7] = byte(v >> 56)
+		binary.LittleEndian.PutUint64(b[i:], r.Uint64())
 	}
 	if i < len(b) {
 		v := r.Uint64()

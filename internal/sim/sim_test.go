@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -80,23 +82,44 @@ func TestRandPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestRandBytes(t *testing.T) {
-	r := NewRand(5)
-	for _, n := range []int{0, 1, 7, 8, 9, 31, 64, 1000} {
-		b := make([]byte, n)
-		r.Bytes(b)
-		if n >= 32 {
-			allZero := true
-			for _, v := range b {
-				if v != 0 {
-					allZero = false
-					break
-				}
-			}
-			if allZero {
-				t.Fatalf("Bytes(%d) produced all zeros", n)
-			}
+// refBytes is Bytes written one byte at a time: each draw supplies the
+// next eight bytes, least significant first, and a short tail takes the
+// low bytes of one more draw.
+func refBytes(r *Rand, b []byte) {
+	var v uint64
+	for i := range b {
+		if i%8 == 0 {
+			v = r.Uint64()
 		}
+		b[i] = byte(v)
+		v >>= 8
+	}
+}
+
+func TestRandBytes(t *testing.T) {
+	lens := []int{}
+	for n := 0; n <= 17; n++ {
+		lens = append(lens, n)
+	}
+	lens = append(lens, 64, 1000)
+	r, ref := NewRand(5), NewRand(5)
+	h := fnv.New64a()
+	for _, n := range lens {
+		got, want := make([]byte, n), make([]byte, n)
+		r.Bytes(got)
+		refBytes(ref, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Bytes(%d) = %x, byte-by-byte reference %x", n, got, want)
+		}
+		h.Write(got)
+	}
+	if r.State() != ref.State() {
+		t.Fatalf("Bytes consumed a different number of draws: state %#x, ref %#x", r.State(), ref.State())
+	}
+	// Digest and end state of the same draws, recorded from the
+	// shift-and-store implementation.
+	if d := h.Sum64(); d != 0xad74456829d54577 || r.State() != 0xf73ed29df04aad50 {
+		t.Fatalf("Bytes digest %#x state %#x, want 0xad74456829d54577 state 0xf73ed29df04aad50", d, r.State())
 	}
 }
 
