@@ -15,7 +15,9 @@
 //
 // Keys are ECDSA P-256 (the hardware would use whatever its crypto block
 // provides; the protocol is agnostic). Everything uses only the standard
-// library.
+// library. The DH contributions g^x use a fixed-base comb (comb.go) whose
+// ≈256 KB table of powers of g is built once per process, on the first
+// quote or verifier exchange.
 package attest
 
 import (
@@ -206,7 +208,7 @@ func (d *Device) Attest(launch [32]byte, nonce []byte) (Quote, *big.Int, error) 
 	if err != nil {
 		return Quote{}, nil, err
 	}
-	dhPub := new(big.Int).Exp(Group14G, x, Group14P)
+	dhPub := groupExp(x)
 	sig, err := ecdsa.SignASN1(rand.Reader, d.akPriv, quoteDigest(launch, Group14G, Group14P, nonce, dhPub))
 	if err != nil {
 		return Quote{}, nil, err
@@ -290,7 +292,7 @@ func VerifierExchange(q Quote) (dhPub *big.Int, shared [32]byte, err error) {
 	if err != nil {
 		return nil, shared, err
 	}
-	pub := new(big.Int).Exp(Group14G, y, Group14P)
+	pub := groupExp(y)
 	s := new(big.Int).Exp(q.DHPub, y, Group14P)
 	return pub, sha256.Sum256(s.Bytes()), nil
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func testDevice(t *testing.T) (*Vendor, *Device) {
+func testDevice(t testing.TB) (*Vendor, *Device) {
 	t.Helper()
 	v, err := NewVendor("SNIC Vendor Inc", nil)
 	if err != nil {

@@ -131,7 +131,7 @@ func (d *Device) AttestBatch(hashes [][32]byte, nonce []byte) (BatchQuote, []Bat
 	if err != nil {
 		return BatchQuote{}, nil, nil, err
 	}
-	dhPub := new(big.Int).Exp(Group14G, x, Group14P)
+	dhPub := groupExp(x)
 	sig, err := ecdsa.SignASN1(rand.Reader, d.akPriv,
 		batchDigest(root, len(hashes), Group14G, Group14P, nonce, dhPub))
 	if err != nil {

@@ -17,6 +17,10 @@
 // regenerates Figure 6 (§C): SHA digesting at ~470 MB/s on the security
 // coprocessor dominates nf_launch; memory scrubbing at ~6.6 GB/s
 // dominates nf_destroy; nf_attest is a fixed ~5.6 ms RSA signature.
+// These latencies are simulated time, not host cost: the host work of
+// nf_attest is the real quote internal/attest computes (a group-14 DH
+// contribution and an ECDSA signature), and no simulated figure depends
+// on how long that takes.
 package snic
 
 import (
