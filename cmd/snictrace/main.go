@@ -99,7 +99,7 @@ func doReplay(path string) error {
 			parseErr++
 			continue
 		}
-		raw, err := dev.Retrieve(id)
+		raw, err := dev.Retrieve(id, nil)
 		if err != nil {
 			continue
 		}

@@ -81,7 +81,7 @@ func run() error {
 		if owner != ids[i] {
 			return fmt.Errorf("misdelivery: %s got owner %d", tn.name, owner)
 		}
-		got, err := dev.Retrieve(owner)
+		got, err := dev.Retrieve(owner, nil)
 		if err != nil {
 			return err
 		}

@@ -86,7 +86,7 @@ func run() error {
 		id   device.FuncID
 		want string
 	}{{green, "green secret"}, {blue, "blue secret"}} {
-		raw, err := dev.Retrieve(tn.id)
+		raw, err := dev.Retrieve(tn.id, nil)
 		if err != nil {
 			return err
 		}

@@ -283,7 +283,7 @@ func Corruption(dev device.NIC, victim, attacker device.FuncID, frame []byte) (R
 		// Found the buffered frame: wreck the payload in place.
 		_ = dev.ProbeWrite(attacker, pa, []byte{0xDE, 0xAD, 0xBE, 0xEF})
 	}
-	got, err := dev.Retrieve(victim)
+	got, err := dev.Retrieve(victim, nil)
 	if err != nil {
 		return res, err
 	}

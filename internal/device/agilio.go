@@ -72,23 +72,22 @@ func (d *agilio) Write(id FuncID, off uint64, data []byte) error {
 }
 
 func (d *agilio) Inject(frame []byte) (FuncID, error) {
-	id, err := d.steerFrame(frame)
-	if err != nil || id == 0 {
+	f, err := d.steerFrame(frame)
+	if err != nil || f == nil {
 		return 0, err
 	}
-	addr, err := d.stageFrame(id, frame)
+	addr, err := d.stageFrame(f, frame)
 	if err != nil {
 		return 0, err
 	}
-	d.funcs[id].frames = append(d.funcs[id].frames, frameRef{addr: addr, n: len(frame)})
-	return id, nil
+	f.frames = append(f.frames, frameRef{addr: addr, n: len(frame)})
+	return f.id, nil
 }
 
 // stageFrame copies a delivered frame into the upper half of the
 // receiver's region (a simple per-function RX area; the memory is still
 // plain shared DRAM, which is what the corruption attack exploits).
-func (d *agilio) stageFrame(id FuncID, frame []byte) (mem.Addr, error) {
-	f := d.funcs[id]
+func (d *agilio) stageFrame(f *commFunc, frame []byte) (mem.Addr, error) {
 	off := f.bytes/2 + f.frameOff
 	if off+uint64(len(frame)) > f.bytes {
 		return 0, ErrNoFrame
@@ -101,12 +100,12 @@ func (d *agilio) stageFrame(id FuncID, frame []byte) (mem.Addr, error) {
 	return addr, nil
 }
 
-func (d *agilio) Retrieve(id FuncID) ([]byte, error) {
+func (d *agilio) Retrieve(id FuncID, dst []byte) ([]byte, error) {
 	fr, err := d.popFrame(id)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, fr.n)
+	buf := frameBuf(dst, fr.n)
 	if err := d.a.Memory().Read(fr.addr, buf); err != nil {
 		return nil, err
 	}

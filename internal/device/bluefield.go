@@ -72,11 +72,10 @@ func (d *blueField) Write(id FuncID, off uint64, data []byte) error {
 }
 
 func (d *blueField) Inject(frame []byte) (FuncID, error) {
-	id, err := d.steerFrame(frame)
-	if err != nil || id == 0 {
+	f, err := d.steerFrame(frame)
+	if err != nil || f == nil {
 		return 0, err
 	}
-	f := d.funcs[id]
 	off := f.bytes/2 + f.frameOff
 	if off+uint64(len(frame)) > f.bytes {
 		return 0, ErrNoFrame
@@ -87,15 +86,15 @@ func (d *blueField) Inject(frame []byte) (FuncID, error) {
 	}
 	f.frameOff += mem.AlignUp(uint64(len(frame)), 64)
 	f.frames = append(f.frames, frameRef{addr: addr, n: len(frame)})
-	return id, nil
+	return f.id, nil
 }
 
-func (d *blueField) Retrieve(id FuncID) ([]byte, error) {
+func (d *blueField) Retrieve(id FuncID, dst []byte) ([]byte, error) {
 	fr, err := d.popFrame(id)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, fr.n)
+	buf := frameBuf(dst, fr.n)
 	if err := d.b.SecureRead(fr.addr, buf); err != nil {
 		return nil, err
 	}

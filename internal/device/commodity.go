@@ -5,6 +5,7 @@ import (
 	"snic/internal/bus"
 	"snic/internal/cache"
 	"snic/internal/mem"
+	"snic/internal/pkt"
 	"snic/internal/pktio"
 )
 
@@ -12,11 +13,13 @@ import (
 // in software (there is no trusted hardware tracking it, which is rather
 // the point).
 type commFunc struct {
+	id       FuncID
 	name     string
 	region   mem.Range
 	bytes    uint64
 	rules    []pktio.MatchSpec
-	frames   []frameRef
+	frames   []frameRef // pending frames; frames[next] is the oldest
+	next     int
 	frameOff uint64 // next free slot in the region's RX staging area
 }
 
@@ -35,7 +38,7 @@ type commBase struct {
 	caps   Capability
 	cores  *corePool
 	funcs  map[FuncID]*commFunc
-	order  []FuncID
+	order  []*commFunc // launch order: steering precedence
 	nextID FuncID
 	bus    *busSim
 	accel  sharedAccel
@@ -95,13 +98,15 @@ func (c *commBase) register(spec FuncSpec, region mem.Range, mask uint64) (FuncI
 	if _, err := c.cores.claim(id, mask); err != nil {
 		return 0, err
 	}
-	c.funcs[id] = &commFunc{
+	f := &commFunc{
+		id:     id,
 		name:   spec.Name,
 		region: region,
 		bytes:  spec.MemBytes,
 		rules:  spec.Rules,
 	}
-	c.order = append(c.order, id)
+	c.funcs[id] = f
+	c.order = append(c.order, f)
 	c.nextID++
 	return id, nil
 }
@@ -114,8 +119,8 @@ func (c *commBase) unregister(id FuncID) error {
 	}
 	c.cores.release(id)
 	delete(c.funcs, id)
-	for i, o := range c.order {
-		if o == id {
+	for i, f := range c.order {
+		if f.id == id {
 			c.order = append(c.order[:i], c.order[i+1:]...)
 			break
 		}
@@ -135,13 +140,23 @@ func (c *commBase) checkAccess(id FuncID, off uint64, n int) (*commFunc, error) 
 	return f, nil
 }
 
-// steerFrame picks the receiving function for a frame.
-func (c *commBase) steerFrame(frame []byte) (FuncID, error) {
-	rules := make(map[FuncID][]pktio.MatchSpec, len(c.funcs))
-	for id, f := range c.funcs {
-		rules[id] = f.rules
+// steerFrame picks the first function, in launch order, whose rules
+// match the frame — the software analogue of the S-NIC switch, for the
+// commodity models that have no hardware steering. It returns nil when
+// no rule matches.
+func (c *commBase) steerFrame(frame []byte) (*commFunc, error) {
+	p, err := pkt.Parse(frame)
+	if err != nil {
+		return nil, err
 	}
-	return steer(c.order, rules, frame)
+	for _, f := range c.order {
+		for _, r := range f.rules {
+			if r.Matches(&p) {
+				return f, nil
+			}
+		}
+	}
+	return nil, nil
 }
 
 // popFrame dequeues the next pending frame reference.
@@ -150,10 +165,13 @@ func (c *commBase) popFrame(id FuncID) (frameRef, error) {
 	if !ok {
 		return frameRef{}, ErrNoFunc
 	}
-	if len(f.frames) == 0 {
+	if f.next == len(f.frames) {
 		return frameRef{}, ErrNoFrame
 	}
-	fr := f.frames[0]
-	f.frames = f.frames[1:]
+	fr := f.frames[f.next]
+	f.next++
+	if f.next == len(f.frames) { // drained: refill from the start
+		f.frames, f.next = f.frames[:0], 0
+	}
 	return fr, nil
 }

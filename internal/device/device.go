@@ -167,12 +167,17 @@ type NIC interface {
 	Write(id FuncID, off uint64, data []byte) error
 
 	// Inject delivers a wire frame to the device's ingress; the return
-	// is the function it was steered to (0 if no rule matched).
+	// is the function it was steered to (0 if no rule matched). The
+	// device copies the frame and keeps no reference to it.
 	Inject(frame []byte) (FuncID, error)
 	// Retrieve pops the next pending frame from a function's receive
 	// path, re-reading its bytes from device memory (so corruption that
-	// happened after Inject is visible).
-	Retrieve(id FuncID) ([]byte, error)
+	// happened after Inject is visible). The frame is read into dst[:n]
+	// when cap(dst) >= n and into a fresh slice otherwise; either way the
+	// caller owns the result, which never aliases device memory. Callers
+	// that keep frames pass nil; a loop can pass its last frame back to
+	// retrieve without allocating.
+	Retrieve(id FuncID, dst []byte) ([]byte, error)
 
 	// ProbeRead / ProbeWrite are a *malicious function's* attempt to
 	// access an arbitrary physical address (xkphys-style). Models with

@@ -204,14 +204,14 @@ func TestConformanceSteering(t *testing.T) {
 			if to != id {
 				t.Fatalf("frame steered to %d, want %d", to, id)
 			}
-			got, err := dev.Retrieve(id)
+			got, err := dev.Retrieve(id, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, frame) {
 				t.Fatal("frame modified in flight")
 			}
-			if _, err := dev.Retrieve(id); !errors.Is(err, ErrNoFrame) {
+			if _, err := dev.Retrieve(id, nil); !errors.Is(err, ErrNoFrame) {
 				t.Fatalf("retrieve from empty queue: %v", err)
 			}
 		})

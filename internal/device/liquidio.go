@@ -87,29 +87,29 @@ func (d *liquidIO) Write(id FuncID, off uint64, data []byte) error {
 }
 
 func (d *liquidIO) Inject(frame []byte) (FuncID, error) {
-	id, err := d.steerFrame(frame)
-	if err != nil || id == 0 {
+	f, err := d.steerFrame(frame)
+	if err != nil || f == nil {
 		return 0, err
 	}
 	// Packet buffers come from the shared pool, tagged in the metadata
 	// table like the real allocator's.
-	addr, err := d.l.AllocBuf(id, uint32(len(frame)), baseline.TagPacket)
+	addr, err := d.l.AllocBuf(f.id, uint32(len(frame)), baseline.TagPacket)
 	if err != nil {
 		return 0, err
 	}
 	if err := d.l.Memory().Write(addr, frame); err != nil {
 		return 0, err
 	}
-	d.funcs[id].frames = append(d.funcs[id].frames, frameRef{addr: addr, n: len(frame)})
-	return id, nil
+	f.frames = append(f.frames, frameRef{addr: addr, n: len(frame)})
+	return f.id, nil
 }
 
-func (d *liquidIO) Retrieve(id FuncID) ([]byte, error) {
+func (d *liquidIO) Retrieve(id FuncID, dst []byte) ([]byte, error) {
 	fr, err := d.popFrame(id)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, fr.n)
+	buf := frameBuf(dst, fr.n)
 	if err := d.l.Memory().Read(fr.addr, buf); err != nil {
 		return nil, err
 	}

@@ -5,8 +5,6 @@ import (
 
 	"snic/internal/bus"
 	"snic/internal/mem"
-	"snic/internal/pkt"
-	"snic/internal/pktio"
 )
 
 // Shared model constants, matching the Agilio baseline's calibration so
@@ -131,20 +129,11 @@ func (p *corePool) free() int {
 	return n
 }
 
-// steer picks the first function (in launch order) whose rules match the
-// frame — the software analogue of the S-NIC switch, used by the
-// commodity adapters that have no hardware steering.
-func steer(order []FuncID, rules map[FuncID][]pktio.MatchSpec, frame []byte) (FuncID, error) {
-	p, err := pkt.Parse(frame)
-	if err != nil {
-		return 0, err
+// frameBuf returns dst resliced to n bytes when it has the capacity,
+// and a new n-byte buffer otherwise: the destination of Retrieve.
+func frameBuf(dst []byte, n int) []byte {
+	if cap(dst) >= n {
+		return dst[:n]
 	}
-	for _, id := range order {
-		for _, r := range rules[id] {
-			if r.Matches(&p) {
-				return id, nil
-			}
-		}
-	}
-	return 0, nil
+	return make([]byte, n)
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"errors"
 	"fmt"
 
 	"snic/internal/attest"
@@ -136,24 +137,22 @@ func (s *SNIC) launch(spec FuncSpec, portBuf uint64) (FuncID, snic.LaunchReport,
 // TeardownTimed tears down like Teardown but also returns the §4.2
 // per-phase teardown report.
 func (s *SNIC) TeardownTimed(id FuncID) (snic.TeardownReport, error) {
-	if err := s.live(id); err != nil {
-		return snic.TeardownReport{}, err
-	}
 	rep, err := s.dev.Teardown(id)
 	if err != nil {
-		return snic.TeardownReport{}, err
+		return snic.TeardownReport{}, noFunc(err)
 	}
 	s.cores.release(id)
 	delete(s.accelFree, id)
 	return rep, nil
 }
 
-// live normalizes "no such NF" to the interface error.
-func (s *SNIC) live(id FuncID) error {
-	if s.dev.NF(id) == nil {
+// noFunc normalizes the device's "no such NF" to the interface error.
+// Each owner-scoped call resolves its function once, inside the device.
+func noFunc(err error) error {
+	if errors.Is(err, snic.ErrNoNF) {
 		return ErrNoFunc
 	}
-	return nil
+	return err
 }
 
 func (s *SNIC) Teardown(id FuncID) error {
@@ -162,45 +161,28 @@ func (s *SNIC) Teardown(id FuncID) error {
 }
 
 func (s *SNIC) Attest(id FuncID, nonce []byte) (attest.Quote, error) {
-	if err := s.live(id); err != nil {
-		return attest.Quote{}, err
-	}
 	q, _, _, err := s.dev.AttestNF(id, nonce)
-	return q, err
+	return q, noFunc(err)
 }
 
 func (s *SNIC) Read(id FuncID, off uint64, buf []byte) error {
-	if err := s.live(id); err != nil {
-		return err
-	}
-	return s.dev.NFRead(id, tlb.VAddr(off), buf)
+	return noFunc(s.dev.NFRead(id, tlb.VAddr(off), buf))
 }
 
 func (s *SNIC) Write(id FuncID, off uint64, data []byte) error {
-	if err := s.live(id); err != nil {
-		return err
-	}
-	return s.dev.NFWrite(id, tlb.VAddr(off), data)
+	return noFunc(s.dev.NFWrite(id, tlb.VAddr(off), data))
 }
 
 func (s *SNIC) Inject(frame []byte) (FuncID, error) {
 	return s.dev.Switch().Deliver(frame)
 }
 
-func (s *SNIC) Retrieve(id FuncID) ([]byte, error) {
-	v := s.dev.NF(id)
-	if v == nil {
-		return nil, ErrNoFunc
-	}
-	desc, ok := v.VPP.Pop()
-	if !ok {
+func (s *SNIC) Retrieve(id FuncID, dst []byte) ([]byte, error) {
+	buf, err := s.dev.NFRecv(id, dst)
+	if errors.Is(err, snic.ErrRxEmpty) {
 		return nil, ErrNoFrame
 	}
-	buf := make([]byte, desc.Len)
-	if err := s.dev.NFRead(id, desc.VA, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return buf, noFunc(err)
 }
 
 // ProbeRead is the attacker's address-guessing attempt. S-NIC cores have
@@ -208,17 +190,11 @@ func (s *SNIC) Retrieve(id FuncID) ([]byte, error) {
 // through its locked TLB, so "physical address" pa is just another VA —
 // it resolves inside the function's own reservation or faults.
 func (s *SNIC) ProbeRead(id FuncID, pa mem.Addr, buf []byte) error {
-	if err := s.live(id); err != nil {
-		return err
-	}
-	return s.dev.NFRead(id, tlb.VAddr(pa), buf)
+	return noFunc(s.dev.NFRead(id, tlb.VAddr(pa), buf))
 }
 
 func (s *SNIC) ProbeWrite(id FuncID, pa mem.Addr, data []byte) error {
-	if err := s.live(id); err != nil {
-		return err
-	}
-	return s.dev.NFWrite(id, tlb.VAddr(pa), data)
+	return noFunc(s.dev.NFWrite(id, tlb.VAddr(pa), data))
 }
 
 // MgmtRead maps a frame-aligned scratch window over [pa, pa+len) through

@@ -35,6 +35,10 @@ type managedDevice struct {
 	used     device.Resources
 	placed   map[string]*Placement // key: tenant "/" nf
 	churn    DeviceChurn           // cumulative churn accounting (see churn.go)
+
+	// Burst scratch (workload.go), reused across bursts: the frame being
+	// injected and the frame last retrieved.
+	txBuf, rxBuf []byte
 }
 
 func (d *managedDevice) free() device.Resources { return d.capacity.Sub(d.used) }
@@ -59,6 +63,8 @@ type Placement struct {
 	Port   uint16
 	Spec   NFSpec
 	Demand device.Resources // as computed for the hosting device
+
+	wl *placementObs // burst metric handles, interned on the first burst
 }
 
 func (p *Placement) key() string { return p.Tenant + "/" + p.NF }

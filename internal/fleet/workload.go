@@ -154,11 +154,13 @@ func (m *Manager) Burst(spec WorkloadSpec) (BurstResult, error) {
 func (m *Manager) burstDevice(md *managedDevice, spec WorkloadSpec, burst, start uint64, rng *sim.Rand) (deviceBurst, error) {
 	var out deviceBurst
 	// One streaming synthesizer per device job: frames are drawn one at a
-	// time over a reused payload buffer (Marshal copies it into the wire
-	// frame, which VPP rings may retain), so burst size never shows up in
+	// time over a reused payload buffer, so burst size never shows up in
 	// the job's memory footprint. The synth's draw order matches the
 	// pre-streaming inline code, pinning the scenario goldens.
 	synth := trace.NewFrameSynth(rng, spec.FrameBytes)
+	// Every frame is marshalled into md.txBuf and retrieved into
+	// md.rxBuf: Inject copies the frame into device memory and Retrieve
+	// copies it out, so neither buffer is retained past its call.
 	for pi, key := range md.sortedPlacementKeys() {
 		pl := md.placed[key]
 		now := start
@@ -169,9 +171,9 @@ func (m *Manager) burstDevice(md *managedDevice, spec WorkloadSpec, burst, start
 		// classifier and retrieved from the NF's own receive ring.
 		for p := 0; p < spec.Packets; p++ {
 			pk := synth.Steered(0x0a800000|uint32(pi), pl.Port)
-			frame := pk.Marshal()
-			out.bytes += uint64(len(frame))
-			if _, err := md.nic.Inject(frame); err != nil {
+			md.txBuf = pk.AppendMarshal(md.txBuf[:0])
+			out.bytes += uint64(len(md.txBuf))
+			if _, err := md.nic.Inject(md.txBuf); err != nil {
 				out.drops++
 				continue
 			}
@@ -181,9 +183,9 @@ func (m *Manager) burstDevice(md *managedDevice, spec WorkloadSpec, burst, start
 		// exercise the drop path (and the drop counters in goldens).
 		for s := synth.StrayCount(spec.Packets); s > 0; s-- {
 			pk := synth.Stray()
-			frame := pk.Marshal()
-			out.bytes += uint64(len(frame))
-			if _, err := md.nic.Inject(frame); err != nil {
+			md.txBuf = pk.AppendMarshal(md.txBuf[:0])
+			out.bytes += uint64(len(md.txBuf))
+			if _, err := md.nic.Inject(md.txBuf); err != nil {
 				out.drops++
 			}
 		}
@@ -192,10 +194,11 @@ func (m *Manager) burstDevice(md *managedDevice, spec WorkloadSpec, burst, start
 		// (write the frame back into the NF's reservation and read it
 		// out, touching the device's real ownership checks).
 		for {
-			buf, err := md.nic.Retrieve(pl.Func)
+			buf, err := md.nic.Retrieve(pl.Func, md.rxBuf)
 			if err != nil {
 				break
 			}
+			md.rxBuf = buf
 			got++
 			if werr := md.nic.Write(pl.Func, 0, buf); werr == nil {
 				if rerr := md.nic.Read(pl.Func, 0, buf); rerr == nil {
@@ -223,18 +226,41 @@ func (m *Manager) burstDevice(md *managedDevice, spec WorkloadSpec, burst, start
 			out.cycles = d
 		}
 
+		wl := m.workloadObs(md, pl)
+		wl.packets.Add(got)
+		wl.accelOps.Add(uint64(spec.AccelOps))
+		wl.busOps.Add(uint64(spec.BusOps))
+		wl.cycles.Observe(now - start)
+	}
+	m.cfg.Obs.Tracer("fleet/"+md.name+"/wl").Span(
+		"wl", fmt.Sprintf("burst %03d", burst), start, out.cycles)
+	return out, nil
+}
+
+// placementObs holds a placement's burst-workload metric handles.
+type placementObs struct {
+	packets, accelOps, busOps *obs.Counter
+	cycles                    *obs.Histogram
+}
+
+// workloadObs returns pl's workload handles, interning them on its
+// first burst: a placement removed before any burst registers no
+// series, so the metrics export is the same as when every burst
+// interned them afresh.
+func (m *Manager) workloadObs(md *managedDevice, pl *Placement) *placementObs {
+	if pl.wl == nil {
 		lbl := func(name string) obs.Label {
 			return obs.Label{
 				Device: "fleet/" + md.name, Owner: pl.Tenant,
 				Component: "wl", Name: name,
 			}
 		}
-		m.cfg.Obs.Counter(lbl("packets")).Add(got)
-		m.cfg.Obs.Counter(lbl("accel_ops")).Add(uint64(spec.AccelOps))
-		m.cfg.Obs.Counter(lbl("bus_ops")).Add(uint64(spec.BusOps))
-		m.cfg.Obs.Histogram(lbl("burst_cycles")).Observe(now - start)
+		pl.wl = &placementObs{
+			packets:  m.cfg.Obs.Counter(lbl("packets")),
+			accelOps: m.cfg.Obs.Counter(lbl("accel_ops")),
+			busOps:   m.cfg.Obs.Counter(lbl("bus_ops")),
+			cycles:   m.cfg.Obs.Histogram(lbl("burst_cycles")),
+		}
 	}
-	m.cfg.Obs.Tracer("fleet/"+md.name+"/wl").Span(
-		"wl", fmt.Sprintf("burst %03d", burst), start, out.cycles)
-	return out, nil
+	return pl.wl
 }

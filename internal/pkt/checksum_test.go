@@ -81,7 +81,8 @@ func FuzzChecksum(f *testing.F) {
 }
 
 // FuzzParse feeds Parse arbitrary bytes. It must never panic, and any
-// packet it accepts must survive Marshal and Parse again unchanged.
+// packet it accepts must survive Marshal and Parse again unchanged;
+// AppendMarshal into a dirty buffer must produce Marshal's bytes.
 func FuzzParse(f *testing.F) {
 	udp := tuple()
 	udp.Proto, udp.DstPort = ProtoUDP, 53
@@ -92,6 +93,9 @@ func FuzzParse(f *testing.F) {
 		{Tuple: udp, VNI: 0xFFFFFF},
 	} {
 		f.Add(p.Marshal())
+	}
+	for _, p := range appendCases() {
+		f.Add(p.AppendMarshal(dirty(0, 2048)))
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p, err := Parse(frame)
@@ -104,7 +108,11 @@ func FuzzParse(f *testing.F) {
 			// decapsulate it: not a round trip Marshal can express.
 			return
 		}
-		q, err := Parse(p.Marshal())
+		wire := p.Marshal()
+		if got := p.AppendMarshal(dirty(3, len(wire)+3)); !bytes.Equal(got[3:], wire) {
+			t.Fatalf("AppendMarshal into a dirty buffer differs from Marshal for %+v", p)
+		}
+		q, err := Parse(wire)
 		if err != nil {
 			t.Fatalf("re-parse of %+v: %v", p, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Protocol numbers used by the NFs.
@@ -147,21 +148,34 @@ func finish(sum uint32, b []byte) uint16 {
 // the inner frame is built first, then wrapped in an outer
 // Ethernet/IPv4/UDP(4789)/VXLAN envelope reusing the same addresses (the
 // datacenter underlay would rewrite the outer header in transit).
-func (p *Packet) Marshal() []byte {
-	inner := marshalPlain(p)
+func (p *Packet) Marshal() []byte { return p.AppendMarshal(nil) }
+
+// AppendMarshal appends the frame Marshal would return to dst and
+// returns the extended slice. A plain frame is written into dst's spare
+// capacity when it fits, so a caller that passes the previous frame
+// back as buf[:0] marshals without allocating; every header byte is
+// written, so nothing stale in that capacity survives into the frame.
+// A VXLAN frame (p.VNI != 0) still allocates its inner frame.
+func (p *Packet) AppendMarshal(dst []byte) []byte {
 	if p.VNI == 0 {
-		return inner
+		return appendPlain(dst, p)
 	}
-	return EncapVXLAN(p.VNI, inner, p.SrcMAC, p.DstMAC, p.Tuple.SrcIP, p.Tuple.DstIP)
+	inner := appendPlain(nil, p)
+	return appendVXLAN(dst, p.VNI, inner, p.SrcMAC, p.DstMAC, p.Tuple.SrcIP, p.Tuple.DstIP)
 }
 
-func marshalPlain(p *Packet) []byte {
+func appendPlain(dst []byte, p *Packet) []byte {
 	l4hdr := TCPHeaderLen
 	if p.Tuple.Proto == ProtoUDP {
 		l4hdr = UDPHeaderLen
 	}
-	total := EthHeaderLen + IPv4HeaderLen + l4hdr + len(p.Payload)
-	f := make([]byte, total)
+	hdr := EthHeaderLen + IPv4HeaderLen + l4hdr
+	start := len(dst)
+	dst = slices.Grow(dst, hdr+len(p.Payload))[:start+hdr+len(p.Payload)]
+	f := dst[start:]
+	// Zero the headers: TOS, IP id/fragment, and TCP seq/ack/flags/
+	// window/urgent are never set below.
+	clear(f[:hdr])
 	// Ethernet.
 	copy(f[0:6], p.DstMAC[:])
 	copy(f[6:12], p.SrcMAC[:])
@@ -178,7 +192,6 @@ func marshalPlain(p *Packet) []byte {
 	ip[9] = p.Tuple.Proto
 	binary.BigEndian.PutUint32(ip[12:], p.Tuple.SrcIP)
 	binary.BigEndian.PutUint32(ip[16:], p.Tuple.DstIP)
-	binary.BigEndian.PutUint16(ip[10:], 0)
 	binary.BigEndian.PutUint16(ip[10:], Checksum(ip[:IPv4HeaderLen]))
 	// L4.
 	l4 := ip[IPv4HeaderLen:]
@@ -188,17 +201,15 @@ func marshalPlain(p *Packet) []byte {
 	if p.Tuple.Proto == ProtoUDP {
 		binary.BigEndian.PutUint16(l4[4:], uint16(l4len))
 		copy(l4[UDPHeaderLen:], p.Payload)
-		binary.BigEndian.PutUint16(l4[6:], 0)
 		ck := finish(pseudoHeaderSum(p.Tuple.SrcIP, p.Tuple.DstIP, ProtoUDP, l4len), l4[:l4len])
 		binary.BigEndian.PutUint16(l4[6:], ck)
 	} else {
 		l4[12] = 5 << 4 // data offset
 		copy(l4[TCPHeaderLen:], p.Payload)
-		binary.BigEndian.PutUint16(l4[16:], 0)
 		ck := finish(pseudoHeaderSum(p.Tuple.SrcIP, p.Tuple.DstIP, p.Tuple.Proto, l4len), l4[:l4len])
 		binary.BigEndian.PutUint16(l4[16:], ck)
 	}
-	return f
+	return dst
 }
 
 // Errors returned by Parse.
@@ -295,8 +306,9 @@ func parsePlain(f []byte) (Packet, error) {
 	return p, nil
 }
 
-// EncapVXLAN wraps an inner Ethernet frame in Ethernet/IPv4/UDP/VXLAN.
-func EncapVXLAN(vni uint32, inner []byte, srcMAC, dstMAC MAC, srcIP, dstIP uint32) []byte {
+// appendVXLAN appends the inner Ethernet frame wrapped in
+// Ethernet/IPv4/UDP/VXLAN to dst.
+func appendVXLAN(dst []byte, vni uint32, inner []byte, srcMAC, dstMAC MAC, srcIP, dstIP uint32) []byte {
 	outer := Packet{
 		SrcMAC: srcMAC,
 		DstMAC: dstMAC,
@@ -313,7 +325,7 @@ func EncapVXLAN(vni uint32, inner []byte, srcMAC, dstMAC MAC, srcIP, dstIP uint3
 	outer.Payload[0] = 0x08 // flags: valid VNI
 	binary.BigEndian.PutUint32(outer.Payload[4:], vni<<8)
 	copy(outer.Payload[VXLANHeaderLen:], inner)
-	return marshalPlain(&outer)
+	return appendPlain(dst, &outer)
 }
 
 func fnv32(b []byte) uint32 {

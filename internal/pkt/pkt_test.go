@@ -230,3 +230,58 @@ func TestBitFlipDetectedProperty(t *testing.T) {
 		}
 	}
 }
+
+// appendCases are the frames the AppendMarshal differential test and
+// the FuzzParse seeds share: UDP, TCP (whose seq/ack/window bytes
+// Marshal leaves zero), and VXLAN with a non-zero VNI.
+func appendCases() []Packet {
+	udp := tuple()
+	udp.Proto, udp.DstPort = ProtoUDP, 4000
+	return []Packet{
+		{SrcMAC: MAC{2, 0, 0, 0, 0, 1}, Tuple: udp, Payload: bytes.Repeat([]byte{0x5A}, 700), TTL: 9},
+		{DstMAC: MAC{2, 0, 0, 0, 0, 2}, Tuple: tuple(), Payload: []byte("GET /index.html HTTP/1.1\r\n")},
+		{Tuple: tuple(), Payload: []byte{}},
+		{Tuple: udp, Payload: []byte("tenant frame"), VNI: 0x00ABCD},
+	}
+}
+
+// dirty returns an n-byte buffer of 0xFF with the given spare capacity.
+func dirty(n, spare int) []byte {
+	b := bytes.Repeat([]byte{0xFF}, n+spare)
+	return b[:n]
+}
+
+func TestAppendMarshalMatchesMarshal(t *testing.T) {
+	for i, p := range appendCases() {
+		want := p.Marshal()
+		for _, c := range []struct {
+			name       string
+			len, spare int
+		}{
+			{"shorter", 0, len(want) / 2},
+			{"exact", 0, len(want)},
+			{"longer", 0, len(want) + 300},
+			{"prefixed", 5, len(want)},
+		} {
+			dst := dirty(c.len, c.spare)
+			got := p.AppendMarshal(dst)
+			if !bytes.Equal(got[:c.len], dst[:c.len]) {
+				t.Fatalf("case %d %s: prefix changed", i, c.name)
+			}
+			if !bytes.Equal(got[c.len:], want) {
+				t.Fatalf("case %d %s: AppendMarshal differs from Marshal\n got %x\nwant %x", i, c.name, got[c.len:], want)
+			}
+			fits := len(want) <= c.spare
+			if reused := &got[0] == &dst[:1][0]; reused != fits {
+				t.Fatalf("case %d %s: reused dst = %v, want %v", i, c.name, reused, fits)
+			}
+			q, err := Parse(got[c.len:])
+			if err != nil {
+				t.Fatalf("case %d %s: parse: %v", i, c.name, err)
+			}
+			if q.Tuple != p.Tuple || q.VNI != p.VNI || !bytes.Equal(q.Payload, p.Payload) {
+				t.Fatalf("case %d %s: round trip changed the packet: %+v", i, c.name, q)
+			}
+		}
+	}
+}

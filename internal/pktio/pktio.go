@@ -57,6 +57,14 @@ type Rule struct {
 	Target mem.Owner
 }
 
+// route is an installed rule with its target pipeline resolved, so
+// Deliver steers without a table lookup. DestroyVPP drops a pipeline's
+// routes with it.
+type route struct {
+	Rule
+	vpp *VPP
+}
+
 // Descriptor records one delivered frame in a VPP's receive queue (the
 // PDB of Table 7's buffer inventory).
 type Descriptor struct {
@@ -72,10 +80,13 @@ type VPP struct {
 
 	sched    *tlb.Bank // scheduler-unit TLB: locked to the NF's buffers
 	ringBase tlb.VAddr
-	slots    int
 	slotSize int
-	head     int // next slot to fill
-	queue    []Descriptor
+	// The receive queue is a fixed ring with one descriptor per buffer
+	// slot: ring[first] is the oldest pending frame, and the next frame
+	// fills slot first+pending (mod len(ring)).
+	ring    []Descriptor
+	first   int
+	pending int
 
 	// Stats.
 	Delivered   uint64
@@ -95,7 +106,7 @@ type Switch struct {
 	txCapacity uint64
 	rxReserved uint64
 	txReserved uint64
-	rules      []Rule
+	rules      []route
 	vpps       map[mem.Owner]*VPP
 
 	// Stats.
@@ -159,7 +170,8 @@ func (s *Switch) CreateVPP(owner mem.Owner, rxBytes, txBytes uint64,
 	bank.Lock()
 	v := &VPP{
 		Owner: owner, RXBytes: rxBytes, TXBytes: txBytes,
-		sched: bank, ringBase: ringBase, slots: slots, slotSize: slotSize,
+		sched: bank, ringBase: ringBase, slotSize: slotSize,
+		ring: make([]Descriptor, slots),
 	}
 	if s.obsReg != nil {
 		tenant := "nf" + strconv.Itoa(int(owner))
@@ -192,10 +204,11 @@ func (s *Switch) DestroyVPP(owner mem.Owner) bool {
 	// Remove the owner's switching rules too.
 	rules := s.rules[:0]
 	for _, r := range s.rules {
-		if r.Target != owner {
+		if r.vpp != v {
 			rules = append(rules, r)
 		}
 	}
+	clear(s.rules[len(rules):]) // the dropped routes' VPP pointers
 	s.rules = rules
 	return true
 }
@@ -203,10 +216,11 @@ func (s *Switch) DestroyVPP(owner mem.Owner) bool {
 // AddRule appends a steering rule (installed by nf_launch from the
 // pkt_pipeline_config argument).
 func (s *Switch) AddRule(r Rule) error {
-	if _, ok := s.vpps[r.Target]; !ok {
+	v, ok := s.vpps[r.Target]
+	if !ok {
 		return fmt.Errorf("pktio: rule targets owner %d with no VPP", r.Target)
 	}
-	s.rules = append(s.rules, r)
+	s.rules = append(s.rules, route{Rule: r, vpp: v})
 	return nil
 }
 
@@ -219,15 +233,12 @@ func (s *Switch) Deliver(frame []byte) (mem.Owner, error) {
 	if err != nil {
 		return mem.Free, err
 	}
-	for _, r := range s.rules {
+	for i := range s.rules {
+		r := &s.rules[i]
 		if !r.Spec.Matches(&p) {
 			continue
 		}
-		v := s.vpps[r.Target]
-		if v == nil {
-			continue
-		}
-		if err := v.push(s.pm, frame); err != nil {
+		if err := r.vpp.push(s.pm, frame); err != nil {
 			return mem.Free, err
 		}
 		return r.Target, nil
@@ -238,7 +249,7 @@ func (s *Switch) Deliver(frame []byte) (mem.Owner, error) {
 }
 
 func (v *VPP) push(pm *mem.Physical, frame []byte) error {
-	if len(v.queue) >= v.slots {
+	if v.pending == len(v.ring) {
 		v.DroppedFull++
 		v.obsRxDrops.Inc()
 		return nil // tail drop, as hardware does
@@ -246,7 +257,11 @@ func (v *VPP) push(pm *mem.Physical, frame []byte) error {
 	if len(frame) > v.slotSize {
 		return fmt.Errorf("pktio: frame of %d bytes exceeds slot size %d", len(frame), v.slotSize)
 	}
-	va := v.ringBase + tlb.VAddr(v.head*v.slotSize)
+	slot := v.first + v.pending
+	if slot >= len(v.ring) {
+		slot -= len(v.ring)
+	}
+	va := v.ringBase + tlb.VAddr(slot*v.slotSize)
 	// The scheduler unit can only write where its locked TLB points.
 	off := 0
 	for off < len(frame) {
@@ -268,11 +283,8 @@ func (v *VPP) push(pm *mem.Physical, frame []byte) error {
 		}
 		off += chunk
 	}
-	v.queue = append(v.queue, Descriptor{VA: va, Len: len(frame)})
-	v.head++
-	if v.head == v.slots {
-		v.head = 0
-	}
+	v.ring[slot] = Descriptor{VA: va, Len: len(frame)}
+	v.pending++
 	v.Delivered++
 	if v.obsRxPkts != nil {
 		v.obsRxPkts.Inc()
@@ -284,16 +296,20 @@ func (v *VPP) push(pm *mem.Physical, frame []byte) error {
 
 // Pop dequeues the next received descriptor (ok=false when empty).
 func (v *VPP) Pop() (Descriptor, bool) {
-	if len(v.queue) == 0 {
+	if v.pending == 0 {
 		return Descriptor{}, false
 	}
-	d := v.queue[0]
-	v.queue = v.queue[1:]
+	d := v.ring[v.first]
+	v.first++
+	if v.first == len(v.ring) {
+		v.first = 0
+	}
+	v.pending--
 	return d, true
 }
 
 // Pending returns the receive-queue depth.
-func (v *VPP) Pending() int { return len(v.queue) }
+func (v *VPP) Pending() int { return v.pending }
 
 // ReadFrame copies a received frame out of the NF's memory through the
 // scheduler TLB (what the packet-output module does on transmit).

@@ -139,7 +139,7 @@ func (d *Device) AttestNFBatch(ids []ID, nonce []byte) (attest.BatchQuote, []att
 	for i, id := range ids {
 		v, ok := d.nfs[id]
 		if !ok {
-			return attest.BatchQuote{}, nil, nil, 0, fmt.Errorf("snic: no NF %d", id)
+			return attest.BatchQuote{}, nil, nil, 0, noNF(id)
 		}
 		hashes[i] = v.Hash
 	}

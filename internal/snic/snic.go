@@ -24,6 +24,7 @@
 package snic
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -116,6 +117,16 @@ func DefaultRates() Rates {
 // ID names a launched network function.
 type ID = mem.Owner
 
+// Errors of the owner-scoped access paths.
+var (
+	// ErrNoNF reports an id that names no live function.
+	ErrNoNF = errors.New("snic: no NF")
+	// ErrRxEmpty reports an empty receive ring (NFRecv).
+	ErrRxEmpty = errors.New("snic: receive ring empty")
+)
+
+func noNF(id ID) error { return fmt.Errorf("%w %d", ErrNoNF, id) }
+
 // LaunchSpec is the argument block of nf_launch (Table 1): core mask,
 // initial state, packet-pipeline config, and accelerator reservations.
 type LaunchSpec struct {
@@ -199,6 +210,7 @@ type Device struct {
 	coreOwner []ID // mem.Free = unallocated
 	nfs       map[ID]*VirtualNIC
 	nextID    ID
+	sendBuf   []byte // SendLocal's staging buffer
 
 	// SharedCaches lists caches whose per-domain lines must be flushed at
 	// teardown (wired up by experiments that attach a timing model).
@@ -547,7 +559,7 @@ func (d *Device) Launch(spec LaunchSpec) (LaunchReport, error) {
 func (d *Device) Teardown(id ID) (TeardownReport, error) {
 	v, ok := d.nfs[id]
 	if !ok {
-		return TeardownReport{}, fmt.Errorf("snic: no NF %d", id)
+		return TeardownReport{}, noNF(id)
 	}
 	for _, c := range v.Cores {
 		d.coreOwner[c] = mem.Free
@@ -590,7 +602,7 @@ func (d *Device) Teardown(id ID) (TeardownReport, error) {
 func (d *Device) AttestNF(id ID, nonce []byte) (attest.Quote, *big.Int, float64, error) {
 	v, ok := d.nfs[id]
 	if !ok {
-		return attest.Quote{}, nil, 0, fmt.Errorf("snic: no NF %d", id)
+		return attest.Quote{}, nil, 0, noNF(id)
 	}
 	q, x, err := d.hw.Attest(v.Hash, nonce)
 	if err != nil {
@@ -602,43 +614,77 @@ func (d *Device) AttestNF(id ID, nonce []byte) (attest.Quote, *big.Int, float64,
 	return q, x, latency, nil
 }
 
+// translate resolves an n-byte access at va through the function's
+// locked core TLB. The last byte must translate too: an access spanning
+// past the locked mapping is a fatal miss, never a window onto the next
+// frame.
+func (v *VirtualNIC) translate(va tlb.VAddr, n int, perm tlb.Perm) (mem.Addr, error) {
+	pa, err := v.TLB.Translate(va, perm)
+	if err != nil {
+		return 0, err
+	}
+	if n > 1 {
+		if _, err := v.TLB.Translate(va+tlb.VAddr(n-1), perm); err != nil {
+			return 0, err
+		}
+	}
+	return pa, nil
+}
+
+// nfRead is NFRead on a resolved function.
+func (d *Device) nfRead(v *VirtualNIC, va tlb.VAddr, buf []byte) error {
+	pa, err := v.translate(va, len(buf), tlb.PermRead)
+	if err != nil {
+		return err
+	}
+	return d.pm.Read(pa, buf)
+}
+
 // NFRead reads the function's memory at va through its locked TLB — the
 // path NF code itself uses. Other principals have no such path.
 func (d *Device) NFRead(id ID, va tlb.VAddr, buf []byte) error {
 	v, ok := d.nfs[id]
 	if !ok {
-		return fmt.Errorf("snic: no NF %d", id)
+		return noNF(id)
 	}
-	pa, err := v.TLB.Translate(va, tlb.PermRead)
-	if err != nil {
-		return err
-	}
-	// The last byte must translate too: an access spanning past the
-	// locked mapping is a fatal miss, never a window onto the next frame.
-	if len(buf) > 1 {
-		if _, err := v.TLB.Translate(va+tlb.VAddr(len(buf)-1), tlb.PermRead); err != nil {
-			return err
-		}
-	}
-	return d.pm.Read(pa, buf)
+	return d.nfRead(v, va, buf)
 }
 
 // NFWrite writes the function's memory at va through its locked TLB.
 func (d *Device) NFWrite(id ID, va tlb.VAddr, data []byte) error {
 	v, ok := d.nfs[id]
 	if !ok {
-		return fmt.Errorf("snic: no NF %d", id)
+		return noNF(id)
 	}
-	pa, err := v.TLB.Translate(va, tlb.PermWrite)
+	pa, err := v.translate(va, len(data), tlb.PermWrite)
 	if err != nil {
 		return err
 	}
-	if len(data) > 1 {
-		if _, err := v.TLB.Translate(va+tlb.VAddr(len(data)-1), tlb.PermWrite); err != nil {
-			return err
-		}
-	}
 	return d.pm.Write(pa, data)
+}
+
+// NFRecv pops the function's next received descriptor and reads the
+// frame through the function's locked TLB, as its own code would. The
+// frame lands in dst[:n] when cap(dst) >= n and in a fresh slice
+// otherwise. An empty ring is ErrRxEmpty.
+func (d *Device) NFRecv(id ID, dst []byte) ([]byte, error) {
+	v, ok := d.nfs[id]
+	if !ok {
+		return nil, noNF(id)
+	}
+	desc, ok := v.VPP.Pop()
+	if !ok {
+		return nil, ErrRxEmpty
+	}
+	buf := dst
+	if cap(buf) < desc.Len {
+		buf = make([]byte, desc.Len)
+	}
+	buf = buf[:desc.Len]
+	if err := d.nfRead(v, desc.VA, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // MgmtMap asks the management core's MMU to map a physical range; the
@@ -688,16 +734,21 @@ func u64bytes(v uint64) []byte {
 func (d *Device) SendLocal(from, to ID, va tlb.VAddr, n int) error {
 	src, ok := d.nfs[from]
 	if !ok {
-		return fmt.Errorf("snic: no NF %d", from)
+		return noNF(from)
 	}
 	dst, ok := d.nfs[to]
 	if !ok {
-		return fmt.Errorf("snic: no NF %d", to)
+		return noNF(to)
 	}
 	if n <= 0 {
 		return fmt.Errorf("snic: empty local send")
 	}
-	frame := make([]byte, n)
+	// The frame is staged in a device-owned buffer: PushLocal copies it
+	// into the receiver's ring, so nothing retains it past this call.
+	if cap(d.sendBuf) < n {
+		d.sendBuf = make([]byte, n)
+	}
+	frame := d.sendBuf[:n]
 	off := 0
 	for off < n {
 		chunk := n - off

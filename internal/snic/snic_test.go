@@ -587,3 +587,81 @@ func TestRebootTearsDownAndRotatesAK(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNFRecvIntoBuffer covers NFRecv's errors and its dst contract: a
+// buffer with room is reused, the bytes are the delivered frame's.
+func TestNFRecvIntoBuffer(t *testing.T) {
+	d := newDevice(t)
+	rep, err := d.Launch(basicSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.NFRecv(99, nil); !errors.Is(err, ErrNoNF) {
+		t.Fatalf("unknown NF: %v", err)
+	}
+	if _, err := d.NFRecv(rep.ID, nil); !errors.Is(err, ErrRxEmpty) {
+		t.Fatalf("empty ring: %v", err)
+	}
+	buf := make([]byte, 0, 2048)
+	for _, payload := range []string{"a longer first frame for the ring", "short"} {
+		frame := (&pkt.Packet{
+			Tuple:   pkt.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 80, Proto: pkt.ProtoTCP},
+			Payload: []byte(payload),
+		}).Marshal()
+		if _, err := d.Switch().Deliver(frame); err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.NFRecv(rep.ID, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, frame) || &got[:1][0] != &buf[:1][0] {
+			t.Fatalf("NFRecv = %q (reused buffer: %v)", got, &got[:1][0] == &buf[:1][0])
+		}
+	}
+}
+
+// TestSendLocalReusesStaging sends frames of different lengths through
+// the device's staging buffer: each receiver descriptor keeps its own
+// bytes, and a steady-state hop allocates nothing.
+func TestSendLocalReusesStaging(t *testing.T) {
+	d := newDevice(t)
+	a, err := d.Launch(basicSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specB := basicSpec()
+	specB.CoreMask = 0b1100
+	b, err := d.Launch(specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := tlb.VAddr(256 << 10)
+	long, short := bytes.Repeat([]byte{0xAB}, 1500), []byte("hop")
+	for _, msg := range [][]byte{long, short} {
+		if err := d.NFWrite(a.ID, src, msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SendLocal(a.ID, b.ID, src, len(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range [][]byte{long, short} {
+		got, err := d.NFRecv(b.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("receiver got %d bytes, want %d", len(got), len(want))
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := d.SendLocal(a.ID, b.ID, src, len(long)); err != nil {
+			t.Fatal(err)
+		}
+		d.NF(b.ID).VPP.Pop()
+	})
+	if allocs != 0 {
+		t.Fatalf("SendLocal allocates %.1f times per hop", allocs)
+	}
+}

@@ -13,7 +13,8 @@ import (
 // must never change.
 //
 // The returned packet's Payload aliases the synth's buffer; marshal or
-// consume it before the next draw (pkt.Packet.Marshal copies).
+// consume it before the next draw. Marshal and AppendMarshal copy the
+// payload into the frame, so a frame outlives the draw that made it.
 type FrameSynth struct {
 	rng     *sim.Rand
 	payload []byte
