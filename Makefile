@@ -87,9 +87,9 @@ golden:
 # "post" by convention; record a pre-change tree with
 # BENCH_SECTION=baseline) and compared with `snicperf` — see
 # EXPERIMENTS.md "Benchmark trajectory".
-BENCH_FILE ?= BENCH_16.json
+BENCH_FILE ?= BENCH_17.json
 BENCH_SECTION ?= post
-BENCH_PR ?= 16
+BENCH_PR ?= 17
 BENCH_PATTERN ?= .
 .PHONY: bench
 bench:

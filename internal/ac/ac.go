@@ -12,9 +12,20 @@
 // same trick production matchers (and the Rust crate's DFA) use, and it is
 // what keeps the 33 K-rule graph near the ~100 MB the paper reports in
 // Table 7 rather than the ~0.5 GB a raw 256-way table would need.
+//
+// Class 0 (bytes in no pattern) resets: its goto entry is the root, with
+// no match bit, in every row. Scan relies on it to walk an input as up
+// to four lanes in lockstep, giving the host core four independent
+// chains of table loads instead of one. Lanes are cut only just after a
+// class-0 byte, where the sequential walk is at the root, so each lane
+// starts in the sequential walk's state and the lanes together report
+// exactly its matches, restored to input order.
 package ac
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // matchBit flags a goto-table entry whose target state has a non-empty
 // output list. It is the sign bit of the int32 entry, so the scan loop
@@ -169,45 +180,125 @@ func (a *Automaton) MemoryBytes() uint64 {
 	return n
 }
 
+// Scan's lane split: up to scanLanes lanes; inputs shorter than
+// minLaneBytes walk as one lane; each cut is searched for in the
+// cutWindow bytes after its nominal k·n/scanLanes position.
+const (
+	scanLanes    = 4
+	minLaneBytes = 128
+	cutWindow    = 64
+)
+
 // Scan runs the automaton over input, appending matches to dst (which may
-// be nil) and returning it. The traversal touches one table row per input
-// byte — the access pattern the DPI accelerator model charges DRAM
-// bandwidth for.
+// be nil) and returning it, in input order: by End, and for one End in
+// out-list order. The traversal touches one table row per input byte —
+// the access pattern the DPI accelerator model charges DRAM bandwidth
+// for. Scan is safe for concurrent use.
+//
+// When all three cuts are found, the four lanes walk in lockstep up to
+// the shortest lane's length and each lane then finishes alone;
+// otherwise there are no lockstep iterations and the lanes, fewer than
+// four, walk one after another. Matches from more than one lane are
+// stable-sorted by End back into input order.
 func (a *Automaton) Scan(input []byte, dst []Match) []Match {
 	next, classOf := a.next, &a.classOf
-	e := int32(0)
-	for i, b := range input {
-		e = next[int(e&^matchBit)+int(classOf[b])]
-		if e < 0 {
-			for _, p := range a.out[int(e&^matchBit)/a.nclasses] {
-				dst = append(dst, Match{Pattern: int(p), End: i + 1})
+	var cut [scanLanes + 1]int
+	lanes := a.laneCuts(input, &cut)
+	start, hits := len(dst), 0 // hits bit k: lane k has matched
+	var e [scanLanes]int32     // lane states
+	m := 0                     // lockstep steps
+	if lanes == scanLanes {
+		m = min(cut[1]-cut[0], cut[2]-cut[1], cut[3]-cut[2], cut[4]-cut[3])
+		s0, s1, s2, s3 := input[cut[0]:][:m], input[cut[1]:][:m], input[cut[2]:][:m], input[cut[3]:][:m]
+		for i := 0; ; i++ {
+			i, e[0], e[1], e[2], e[3] = lockstep(next, classOf, s0, s1, s2, s3, i, e[0], e[1], e[2], e[3])
+			if i == m {
+				break
+			}
+			for k, ek := range e {
+				if ek < 0 {
+					dst = a.appendOut(dst, ek, cut[k]+i+1)
+					hits |= 1 << k
+				}
 			}
 		}
+	}
+	for k := range lanes {
+		s, ek := input[cut[k]+m:cut[k+1]], e[k]
+		for i := 0; ; i++ {
+			if i, ek = walk(next, classOf, s, i, ek); i == len(s) {
+				break
+			}
+			dst = a.appendOut(dst, ek, cut[k]+m+i+1)
+			hits |= 1 << k
+		}
+	}
+	if hits&(hits-1) != 0 {
+		slices.SortStableFunc(dst[start:], func(x, y Match) int { return x.End - y.End })
 	}
 	return dst
 }
 
-// Contains reports whether any pattern occurs in input (early exit).
-func (a *Automaton) Contains(input []byte) bool {
-	next, classOf := a.next, &a.classOf
-	e := int32(0)
-	for _, b := range input {
-		e = next[int(e&^matchBit)+int(classOf[b])]
-		if e < 0 {
-			return true
+// lockstep advances four lanes of equal length from step i, in states
+// e0..e3, until a step leaves some lane in a match state. It returns
+// that step, or len(s0) if none does, and the states there. It holds no
+// call, so the states stay in registers.
+func lockstep(next []int32, classOf *[256]uint16, s0, s1, s2, s3 []byte, i int, e0, e1, e2, e3 int32) (int, int32, int32, int32, int32) {
+	s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
+	for ; i < len(s0); i++ {
+		e0 = next[int(e0&^matchBit)+int(classOf[s0[i]])]
+		e1 = next[int(e1&^matchBit)+int(classOf[s1[i]])]
+		e2 = next[int(e2&^matchBit)+int(classOf[s2[i]])]
+		e3 = next[int(e3&^matchBit)+int(classOf[s3[i]])]
+		if e0|e1|e2|e3 < 0 {
+			break
 		}
 	}
-	return false
+	return i, e0, e1, e2, e3
 }
 
-// StateWalk returns the state sequence length (equal to len(input)) and
-// final state; used by the accelerator model to meter graph-cache traffic
-// deterministically without allocating matches.
-func (a *Automaton) StateWalk(input []byte) (visited int, final int32) {
-	next, classOf := a.next, &a.classOf
-	e := int32(0)
-	for _, b := range input {
-		e = next[int(e&^matchBit)+int(classOf[b])]
+// walk is lockstep for one lane: it advances s from step i in state e
+// until a step reaches a match state, and returns that step, or len(s),
+// and the state there.
+func walk(next []int32, classOf *[256]uint16, s []byte, i int, e int32) (int, int32) {
+	for ; i < len(s); i++ {
+		e = next[int(e&^matchBit)+int(classOf[s[i]])]
+		if e < 0 {
+			break
+		}
 	}
-	return len(input), (e &^ matchBit) / int32(a.nclasses)
+	return i, e
+}
+
+// laneCuts splits input for Scan into lanes, filling the zeroed cut so
+// that lane k covers input[cut[k]:cut[k+1]], and returns their count.
+// Every cut after the first follows a class-0 byte, and only an empty
+// input has an empty lane. cut is filled in place rather than returned,
+// so Scan reads it back without a stalled store-to-load copy.
+func (a *Automaton) laneCuts(input []byte, cut *[scanLanes + 1]int) int {
+	n := len(input)
+	lanes := 1
+	if n >= minLaneBytes && a.nclasses <= 256 { // some byte is class 0
+		for k := 1; k < scanLanes; k++ {
+			lo := max(k*n/scanLanes, cut[lanes-1])
+			for j := lo; j < min(lo+cutWindow, n-1); j++ {
+				if a.classOf[input[j]] == 0 {
+					cut[lanes] = j + 1
+					lanes++
+					break
+				}
+			}
+		}
+	}
+	cut[lanes] = n
+	return lanes
+}
+
+// appendOut appends one Match ending at end for each pattern in the out
+// list of e's target state.
+func (a *Automaton) appendOut(dst []Match, e int32, end int) []Match {
+	for _, p := range a.out[int(e&^matchBit)/a.nclasses] {
+		dst = append(dst, Match{Pattern: int(p), End: end})
+	}
+	return dst
 }

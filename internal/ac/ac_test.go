@@ -49,8 +49,8 @@ func TestSimpleMatch(t *testing.T) {
 
 func TestNoMatch(t *testing.T) {
 	a := compile(t, "virus", "exploit")
-	if a.Contains([]byte("innocuous payload")) {
-		t.Fatal("false positive")
+	if ms := a.Scan([]byte("innocuous payload"), nil); len(ms) != 0 {
+		t.Fatalf("false positive: %+v", ms)
 	}
 	if ms := a.Scan([]byte("clean"), nil); len(ms) != 0 {
 		t.Fatalf("matches = %+v", ms)
@@ -111,13 +111,6 @@ func TestTableBoundOverflow(t *testing.T) {
 	}
 }
 
-func TestContainsEarlyExit(t *testing.T) {
-	a := compile(t, "x")
-	if !a.Contains([]byte("aaax")) {
-		t.Fatal("missed match")
-	}
-}
-
 func TestBinaryPatterns(t *testing.T) {
 	a, err := Compile([][]byte{{0x00, 0xFF, 0x00}, {0xDE, 0xAD}})
 	if err != nil {
@@ -127,14 +120,6 @@ func TestBinaryPatterns(t *testing.T) {
 	ms := a.Scan(input, nil)
 	if len(ms) != 2 {
 		t.Fatalf("binary matches = %+v", ms)
-	}
-}
-
-func TestStateWalk(t *testing.T) {
-	a := compile(t, "abc")
-	n, final := a.StateWalk([]byte("ab"))
-	if n != 2 || final == 0 {
-		t.Fatalf("walk = %d, %d", n, final)
 	}
 }
 
@@ -230,11 +215,11 @@ func TestByteClasses(t *testing.T) {
 		t.Fatalf("classes = %d", a.Classes())
 	}
 	// Unused bytes share class 0 and never advance the automaton.
-	if a.Contains([]byte("zzzz")) {
-		t.Fatal("unused bytes matched")
+	if ms := a.Scan([]byte("zzzz"), nil); len(ms) != 0 {
+		t.Fatalf("unused bytes matched: %+v", ms)
 	}
-	if !a.Contains([]byte("zzabzz")) {
-		t.Fatal("match missed amid unused bytes")
+	if ms := a.Scan([]byte("zzabzz"), nil); len(ms) != 1 || ms[0].End != 4 {
+		t.Fatalf("match amid unused bytes: %+v", ms)
 	}
 }
 

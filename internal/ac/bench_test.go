@@ -25,23 +25,54 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkScanIMIX scans IMIX payloads against the 8,000-pattern
+// ruleset. random is the NF profiles' payloads, where most bytes are in
+// no pattern and Scan splits lanes at once; text is printable payloads
+// with CRLF line breaks, so the only reset bytes are sparse; noreset
+// adds a pattern of all 256 byte values, so no byte resets and Scan
+// always walks one lane.
 func BenchmarkScanIMIX(b *testing.B) {
 	rng := sim.NewRand(1)
-	a, err := Compile(trace.DPIPatterns(rng, 8000))
-	if err != nil {
-		b.Fatal(err)
+	patterns := trace.DPIPatterns(rng, 8000)
+	lens := make([]int, 1024)
+	for i := range lens {
+		lens[i] = trace.IMIXLen(rng)
 	}
-	payloads := make([][]byte, 1024)
-	total := 0
-	for i := range payloads {
-		payloads[i] = make([]byte, trace.IMIXLen(rng))
-		rng.Bytes(payloads[i])
-		total += len(payloads[i])
+	random := func(n int) []byte {
+		p := make([]byte, n)
+		rng.Bytes(p)
+		return p
 	}
-	b.SetBytes(int64(total / len(payloads)))
-	var dst []Match
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = a.Scan(payloads[i%len(payloads)], dst[:0])
+	every := make([]byte, 256)
+	for i := range every {
+		every[i] = byte(i)
+	}
+	for _, c := range []struct {
+		name     string
+		patterns [][]byte
+		payload  func(n int) []byte
+	}{
+		{"random", patterns, random},
+		{"text", patterns, func(n int) []byte { return text(rng, nil, n)[:n] }},
+		{"noreset", append(patterns[:len(patterns):len(patterns)], every), random},
+	} {
+		a, err := Compile(c.patterns)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads := make([][]byte, len(lens))
+		total := 0
+		for i, n := range lens {
+			payloads[i] = c.payload(n)
+			total += n
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(total / len(payloads)))
+			b.ReportAllocs()
+			var dst []Match
+			for i := 0; i < b.N; i++ {
+				dst = a.Scan(payloads[i%len(payloads)], dst[:0])
+			}
+		})
 	}
 }
